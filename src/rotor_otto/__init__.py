@@ -41,7 +41,6 @@ from .units import (
     CyclePoint,
     DomainError,
     MeanEnergyQuartet,
-    make_cycle_point,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "epsilon_fourier",
     "evaluate_point",
     "extract_boundaries",
-    "make_cycle_point",
     "momentum_curve",
     "momentum_stats",
     "optimal_work_scan",

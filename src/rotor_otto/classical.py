@@ -15,6 +15,9 @@ parameter choice: the classical magnetic rotor is only ever a heater.
 
 from __future__ import annotations
 
+import numpy as np
+
+from .cycle import heats
 from .specfun import bessel_ratio_i1_i0
 from .units import CyclePoint, MeanEnergyQuartet, validate_control, validate_temperature
 
@@ -24,11 +27,30 @@ def bessel_argument(lam: float, tau: float) -> float:
     return validate_control(lam, require_nonnegative=True) / (2.0 * validate_temperature(tau))
 
 
+def _mean_energy_electric(lam_i, lam_j, tau_j):
+    # Elementwise over arrays; lambda >= 0 is checked here, tau by the caller.
+    validate_control(np.min(lam_i), require_nonnegative=True)
+    return 0.5 * tau_j + 0.5 * lam_i * (1.0 - bessel_ratio_i1_i0(lam_j / (2.0 * tau_j)))
+
+
+def _mean_energy_magnetic(lam_i, lam_j, tau_j):
+    return 0.5 * tau_j + 0.5 * lam_j * (lam_j - 2.0 * lam_i)
+
+
+def _quartet(mean_energy, lam_h, tau_h, lam_c, tau_c):
+    """(hh, hc, ch, cc): entry ij is <H_i>_j."""
+    return (
+        mean_energy(lam_h, lam_h, tau_h),
+        mean_energy(lam_h, lam_c, tau_c),
+        mean_energy(lam_c, lam_h, tau_h),
+        mean_energy(lam_c, lam_c, tau_c),
+    )
+
+
 def classical_mean_energy_electric(lam_i: float, lam_j: float, tau_j: float) -> float:
     """<H_i>_j of the classical electric machine, in units of E."""
-    lam_i = validate_control(lam_i, require_nonnegative=True)
-    x_j = bessel_argument(lam_j, tau_j)
-    return 0.5 * tau_j + 0.5 * lam_i * (1.0 - bessel_ratio_i1_i0(x_j))
+    bessel_argument(lam_j, tau_j)
+    return float(_mean_energy_electric(lam_i, lam_j, tau_j))
 
 
 def classical_mean_energy_magnetic(lam_i: float, lam_j: float, tau_j: float) -> float:
@@ -36,27 +58,34 @@ def classical_mean_energy_magnetic(lam_i: float, lam_j: float, tau_j: float) -> 
     lam_i = validate_control(lam_i)
     lam_j = validate_control(lam_j)
     tau_j = validate_temperature(tau_j)
-    return 0.5 * tau_j + 0.5 * lam_j * (lam_j - 2.0 * lam_i)
+    return _mean_energy_magnetic(lam_i, lam_j, tau_j)
 
 
 def classical_cycle_electric(point: CyclePoint) -> MeanEnergyQuartet:
     """Mean-energy quartet of the classical electric machine."""
-    return MeanEnergyQuartet(
-        hh=classical_mean_energy_electric(point.lambda_h, point.lambda_h, point.tau_h),
-        hc=classical_mean_energy_electric(point.lambda_h, point.lambda_c, point.tau_c),
-        ch=classical_mean_energy_electric(point.lambda_c, point.lambda_h, point.tau_h),
-        cc=classical_mean_energy_electric(point.lambda_c, point.lambda_c, point.tau_c),
-    )
+    quartet = _quartet(_mean_energy_electric, point.lambda_h, point.tau_h, point.lambda_c, point.tau_c)
+    return MeanEnergyQuartet(*map(float, quartet))
 
 
 def classical_cycle_magnetic(point: CyclePoint) -> MeanEnergyQuartet:
     """Mean-energy quartet of the classical magnetic machine."""
     return MeanEnergyQuartet(
-        hh=classical_mean_energy_magnetic(point.lambda_h, point.lambda_h, point.tau_h),
-        hc=classical_mean_energy_magnetic(point.lambda_h, point.lambda_c, point.tau_c),
-        ch=classical_mean_energy_magnetic(point.lambda_c, point.lambda_h, point.tau_h),
-        cc=classical_mean_energy_magnetic(point.lambda_c, point.lambda_c, point.tau_c),
+        *_quartet(_mean_energy_magnetic, point.lambda_h, point.tau_h, point.lambda_c, point.tau_c)
     )
+
+
+def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float):
+    """(Q_c, Q_h, W) of the classical electric machine, elementwise over lam_h, tau_h.
+
+    The coordinates must be valid cycle points (see CyclePoint); negative
+    lambda raises DomainError.
+    """
+    return heats(*_quartet(_mean_energy_electric, lam_h, tau_h, lam_c, tau_c))
+
+
+def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
+    """(Q_c, Q_h, W) of the classical magnetic machine, elementwise over lam_h, tau_h."""
+    return heats(*_quartet(_mean_energy_magnetic, lam_h, tau_h, lam_c, tau_c))
 
 
 def classical_engine_condition_electric(point: CyclePoint) -> bool:
@@ -73,4 +102,4 @@ def classical_fridge_condition_electric(point: CyclePoint) -> bool:
         return False
     r_h = bessel_ratio_i1_i0(bessel_argument(point.lambda_h, point.tau_h))
     r_c = bessel_ratio_i1_i0(bessel_argument(point.lambda_c, point.tau_c))
-    return r_h - r_c > (point.tau_h - point.tau_c) / point.lambda_c
+    return bool(r_h - r_c > (point.tau_h - point.tau_c) / point.lambda_c)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import qmagnetic, selftest, sweep
@@ -57,11 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", required=True, choices=["csv", "json"])
     p_sweep.add_argument("--tol", type=float, default=1e-10)
-    p_sweep.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("ROTOR_OTTO_THREADS", "1")),
-    )
 
     p_mom = sub.add_parser("momentum", help="thermal momentum curve, CSV")
     p_mom.add_argument("--lambda-min", type=float, required=True)
@@ -108,26 +102,12 @@ def _cmd_sweep(args) -> int:
         lambda_scale=args.lambda_scale,
         tau_scale=args.tau_scale,
     )
-    milestones = {round(k * 0.1, 1): False for k in range(1, 11)}
-
-    def progress(frac: float) -> None:
-        for mark in sorted(milestones):
-            if frac >= mark and not milestones[mark]:
-                milestones[mark] = True
-                print(f"sweep {int(mark * 100)}%", file=sys.stderr)
-
-    try:
-        grid = sweep.run_sweep(
-            spec, threads=max(1, args.threads), tol=args.tol, progress=progress
-        )
-        if args.format == "csv":
-            sweep.write_csv(grid, args.out)
-        else:
-            sweep.write_json(grid, args.out)
-    except Exception:
-        if os.path.exists(args.out):
-            os.remove(args.out)
-        raise
+    grid = sweep.run_sweep(spec, tol=args.tol)
+    print("sweep 100%", file=sys.stderr)
+    if args.format == "csv":
+        sweep.write_csv(grid, args.out)
+    else:
+        sweep.write_json(grid, args.out)
     return EXIT_OK
 
 

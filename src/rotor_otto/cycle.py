@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .units import CyclePoint, DomainError, MeanEnergyQuartet
 
 MODE_ENGINE = "Engine"
@@ -81,6 +83,66 @@ def carnot_bound(point: CyclePoint) -> float:
     return 1.0 - point.tau_c / point.tau_h
 
 
+def check_tags(machine: str, model: str) -> None:
+    """Reject a machine or model name outside the four supported pairs."""
+    if machine not in (MACHINE_ELECTRIC, MACHINE_MAGNETIC):
+        raise DomainError(f"unknown machine {machine!r}")
+    if model not in (MODEL_CLASSICAL, MODEL_QUANTUM):
+        raise DomainError(f"unknown model {model!r}")
+
+
+def heats(hh, hc, ch, cc):
+    """(Q_c, Q_h, W) from the mean-energy quartet entries, elementwise."""
+    q_c = cc - ch
+    q_h = hh - hc
+    return q_c, q_h, -(q_c + q_h)
+
+
+def classify_modes(q_c, q_h, w, tau_h, tau_c, tol: float = DEFAULT_MODE_TOL):
+    """Mode, efficiency and COP arrays of cycles with heats q_c, q_h and work w.
+
+    The arguments broadcast; an absent efficiency or COP is NaN.  Raises
+    DomainError on NaN heat, on a simultaneous engine+refrigerator
+    classification (second-law violation under full thermalization), and on
+    an engine efficiency beyond the Carnot bound.
+    """
+    q_c, q_h, w = np.asarray(q_c), np.asarray(q_h), np.asarray(w)
+    if np.isnan(q_c).any() or np.isnan(q_h).any():
+        raise DomainError("quartet produced NaN heat")
+    engine = w < -tol
+    fridge = q_c > tol
+    both = engine & fridge
+    if both.any():
+        raise DomainError(
+            f"second-law violation: W={w[both].flat[0]} < 0 and Q_c={q_c[both].flat[0]} > 0"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        efficiency = np.where(engine, -w / q_h, np.nan)
+        cop = np.where(fridge, np.where(w != 0.0, q_c / w, np.inf), np.nan)
+    off = engine & ~((efficiency > 0.0) & (efficiency <= 1.0 - tau_c / tau_h + 1e-9))
+    if off.any():
+        raise DomainError(f"engine efficiency {efficiency[off].flat[0]} outside (0, Carnot]")
+    mode = np.where(engine, MODE_ENGINE, np.where(fridge, MODE_REFRIGERATOR, MODE_HEATER))
+    return mode, efficiency, cop
+
+
+def report_from_entries(
+    machine: str, model: str, point: CyclePoint, q_c, q_h, w, mode, efficiency, cop
+) -> CycleReport:
+    """CycleReport of one cycle from its array entries; NaN means absent."""
+    return CycleReport(
+        q_c=float(q_c),
+        q_h=float(q_h),
+        w=float(w),
+        mode=str(mode),
+        efficiency=None if math.isnan(efficiency) else float(efficiency),
+        cop=None if math.isnan(cop) else float(cop),
+        machine=machine,
+        model=model,
+        point=point,
+    )
+
+
 def assemble_cycle(
     quartet: MeanEnergyQuartet,
     point: CyclePoint,
@@ -88,48 +150,8 @@ def assemble_cycle(
     model: str,
     tol: float = DEFAULT_MODE_TOL,
 ) -> CycleReport:
-    """Build a CycleReport from a mean-energy quartet.
-
-    Raises DomainError on NaN input, on a simultaneous engine+refrigerator
-    classification (second-law violation under full thermalization), and on
-    an engine efficiency beyond the Carnot bound.
-    """
-    if machine not in (MACHINE_ELECTRIC, MACHINE_MAGNETIC):
-        raise DomainError(f"unknown machine {machine!r}")
-    if model not in (MODEL_CLASSICAL, MODEL_QUANTUM):
-        raise DomainError(f"unknown model {model!r}")
-    q_c = quartet.cc - quartet.ch
-    q_h = quartet.hh - quartet.hc
-    w = -(q_c + q_h)
-    if math.isnan(q_c) or math.isnan(q_h):
-        raise DomainError("quartet produced NaN heat")
-    if w < -tol and q_c > tol:
-        raise DomainError(
-            f"second-law violation: W={w} < 0 and Q_c={q_c} > 0 at {point}"
-        )
-
-    efficiency = None
-    cop = None
-    if w < -tol:
-        mode = MODE_ENGINE
-        efficiency = -w / q_h
-        if not 0.0 < efficiency <= carnot_bound(point) + 1e-9:
-            raise DomainError(
-                f"engine efficiency {efficiency} outside (0, Carnot] at {point}"
-            )
-    elif q_c > tol:
-        mode = MODE_REFRIGERATOR
-        cop = q_c / w if w != 0.0 else math.inf
-    else:
-        mode = MODE_HEATER
-    return CycleReport(
-        q_c=q_c,
-        q_h=q_h,
-        w=w,
-        mode=mode,
-        efficiency=efficiency,
-        cop=cop,
-        machine=machine,
-        model=model,
-        point=point,
-    )
+    """Build a CycleReport from a mean-energy quartet (see classify_modes)."""
+    check_tags(machine, model)
+    q_c, q_h, w = heats(quartet.hh, quartet.hc, quartet.ch, quartet.cc)
+    modes = classify_modes(q_c, q_h, w, point.tau_h, point.tau_c, tol)
+    return report_from_entries(machine, model, point, q_c, q_h, w, *modes)

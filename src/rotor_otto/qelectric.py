@@ -14,14 +14,14 @@ stationary; convergence is certified a posteriori, not assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+from scipy.special import logsumexp
 
-from .specfun import log_sum_exp
+from .cycle import heats
 from .units import (
     ConvergenceError,
     CyclePoint,
@@ -36,6 +36,7 @@ _MAX_CUTOFF = 1 << 15
 # Below this tau the Boltzmann weights underflow; the ground-state-only
 # average is exact in that limit.
 _GROUND_STATE_TAU = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -50,17 +51,11 @@ class TridiagonalHamiltonian:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Truncated spectrum of a pendulum Hamiltonian at fixed lambda.
-
-    ``converged`` is only set by the cutoff-doubling pipeline; a standalone
-    eigensolve carries no convergence certificate.
-    """
+    """Truncated spectrum of a pendulum Hamiltonian at fixed lambda."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     cutoff_m: int
-    converged: bool
-    convergence_residual: float
 
     def orthonormality_residual(self) -> float:
         if self.eigenvectors is None:
@@ -92,13 +87,7 @@ def eigensolve_sym_tridiagonal(
             vecs = None
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    return SpectralData(
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        cutoff_m=h.cutoff_m,
-        converged=False,
-        convergence_residual=math.nan,
-    )
+    return SpectralData(eigenvalues=vals, eigenvectors=vecs, cutoff_m=h.cutoff_m)
 
 
 def _thermal_weights(eigenvalues: np.ndarray, tau: float) -> np.ndarray:
@@ -129,8 +118,10 @@ def _stroke_averages_at(lam: float, tau: float, cutoff: int) -> tuple[float, flo
 def pendulum_stroke_averages(lam: float, tau: float, tol: float) -> tuple[float, float, int]:
     """(<H>, <S>, certified cutoff) with cutoff doubling from 32.
 
-    Doubles M until both averages change by less than tol; raises
-    ConvergenceError past M = 2^15.
+    Doubles M until both averages change by less than tol, or by less than
+    their round-off 8 eps (M^2/2 + 3 lambda/2) at the larger M, which bounds
+    the spectral norm of H (a tighter tol would double on noise alone);
+    raises ConvergenceError past M = 2^15.
     """
     lam = validate_control(lam, require_nonnegative=True)
     tau = validate_temperature(tau)
@@ -141,7 +132,8 @@ def pendulum_stroke_averages(lam: float, tau: float, tol: float) -> tuple[float,
     while cutoff <= _MAX_CUTOFF:
         cutoff *= 2
         cur = _stroke_averages_at(lam, tau, cutoff)
-        if abs(cur[0] - prev[0]) < tol and abs(cur[1] - prev[1]) < tol:
+        bound = max(tol, 8.0 * _EPS * (0.5 * cutoff * cutoff + 1.5 * lam))
+        if abs(cur[0] - prev[0]) < bound and abs(cur[1] - prev[1]) < bound:
             return cur[0], cur[1], cutoff
         prev = cur
     raise ConvergenceError(
@@ -149,24 +141,38 @@ def pendulum_stroke_averages(lam: float, tau: float, tol: float) -> tuple[float,
     )
 
 
-def thermal_quartet_electric(point: CyclePoint, tol: float = 1e-10) -> MeanEnergyQuartet:
-    """Mean-energy quartet of the quantum electric machine.
+def _quartet(lam_h, tau_h, lam_c: float, tau_c: float, tol: float):
+    """(hh, hc, ch, cc) arrays, elementwise over lam_h, tau_h.
 
     Cross entries use <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j; the
     per-stroke tolerance is tightened by the lambda spread so the assembled
     quartet entries meet tol.
     """
-    spread = 1.0 + abs(point.lambda_h - point.lambda_c)
-    stroke_tol = tol / spread
-    e_h, s_h, _ = pendulum_stroke_averages(point.lambda_h, point.tau_h, stroke_tol)
-    e_c, s_c, _ = pendulum_stroke_averages(point.lambda_c, point.tau_c, stroke_tol)
-    dlam = point.lambda_h - point.lambda_c
-    return MeanEnergyQuartet(
-        hh=e_h,
-        hc=e_c + dlam * s_c,
-        ch=e_h - dlam * s_h,
-        cc=e_c,
-    )
+    lam_h, tau_h = np.broadcast_arrays(np.asarray(lam_h, dtype=float), np.asarray(tau_h, dtype=float))
+    dlam = lam_h - lam_c
+    stroke_tol = tol / (1.0 + np.abs(dlam))
+    strokes = []
+    for lam, tau, stol in zip(lam_h.ravel().tolist(), tau_h.ravel().tolist(), stroke_tol.ravel().tolist()):
+        e_h, s_h, _ = pendulum_stroke_averages(lam, tau, stol)
+        e_c, s_c, _ = pendulum_stroke_averages(lam_c, tau_c, stol)
+        strokes.append((e_h, s_h, e_c, s_c))
+    e_h, s_h, e_c, s_c = np.array(strokes).T.reshape((4,) + lam_h.shape)
+    return e_h, e_c + dlam * s_c, e_h - dlam * s_h, e_c
+
+
+def thermal_quartet_electric(point: CyclePoint, tol: float = 1e-10) -> MeanEnergyQuartet:
+    """Mean-energy quartet of the quantum electric machine."""
+    quartet = _quartet(point.lambda_h, point.tau_h, point.lambda_c, point.tau_c, tol)
+    return MeanEnergyQuartet(*map(float, quartet))
+
+
+def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float, tol: float = 1e-10):
+    """(Q_c, Q_h, W) of the quantum electric machine, elementwise over lam_h, tau_h.
+
+    One pair of pendulum strokes per entry, through the cache of
+    pendulum_stroke_averages.
+    """
+    return heats(*_quartet(lam_h, tau_h, lam_c, tau_c, tol))
 
 
 def log_partition_pendulum(lam: float, tau: float, cutoff_m: int) -> float:
@@ -174,4 +180,4 @@ def log_partition_pendulum(lam: float, tau: float, cutoff_m: int) -> float:
     tau = validate_temperature(tau)
     h = build_pendulum_hamiltonian(lam, cutoff_m)
     spec = eigensolve_sym_tridiagonal(h, want_vectors=False)
-    return log_sum_exp(list(-spec.eigenvalues / tau))
+    return float(logsumexp(-spec.eigenvalues / tau))

@@ -3,8 +3,10 @@
 The Hamiltonian H(lambda) = L_z^2/2 - lambda L_z is diagonal in the
 angular-momentum basis with eigenvalues m(m - 2 lambda)/2, m integer.
 The production path for all moments is the direct truncated Boltzmann sum
-over m; the theta-function and Fourier forms below are verification
-oracles and a fast path for the deviation epsilon at moderate tau.
+over m, taken in the offset k = m - round(lambda)
+(momentum_moments); the theta-function and Fourier forms below are
+verification oracles and a fast path for the deviation epsilon at moderate
+tau.
 
 epsilon(lambda, tau) = <L_z> - lambda is the genuinely quantum deviation of
 the thermal mean momentum from the classical value: bounded by 1/2, zero at
@@ -28,9 +30,11 @@ from .units import (
     validate_temperature,
 )
 
-# Edge terms of the m-window must sit this many nats below the peak weight.
+# Edge terms of the m-window sit at least this many nats below the peak weight.
 _WINDOW_NATS = 40.0
-_WINDOW_MAX_HALFWIDTH = 1 << 22
+_WINDOW_MAX_HALFWIDTH = 1 << 23
+# Lambda values are summed in blocks of at most this many Boltzmann terms.
+_BLOCK_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,50 +42,59 @@ class MomentumStats:
     """Thermal momentum moments of the magnetic rotor at one (lambda, tau).
 
     mean_lz and second_moment_lz are in units of hbar and hbar^2;
-    epsilon = mean_lz - lambda; log_partition is ln Z of the direct sum.
+    epsilon = mean_lz - lambda; variance_lz = <(L_z - <L_z>)^2>;
+    log_partition is ln Z of the direct sum.
     """
 
     mean_lz: float
     second_moment_lz: float
     epsilon: float
+    variance_lz: float
     log_partition: float
     terms_used: int
 
-    def __post_init__(self) -> None:
-        if abs(self.epsilon) > 0.5 + 1e-12:
-            raise DomainError(f"|epsilon| must not exceed 1/2, got {self.epsilon}")
-        if self.second_moment_lz < self.mean_lz**2 - 1e-9:
-            raise DomainError("negative momentum variance")
 
+def momentum_moments(lam, tau: float):
+    """Gibbs moments of k = m - round(lambda) at one tau, elementwise over lambda.
 
-def _window(lam: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integer window around round(lambda) with converged Boltzmann weights.
-
-    Returns (m values, log-weights); the half-width is doubled until both
-    edge log-weights are at least _WINDOW_NATS below the maximum.
+    Returns (mu, nu, log_z, terms): mu = <k>, nu = <k^2>, log_z = ln Z of the
+    direct sum over m, and the number of terms summed per lambda.  With
+    f = lambda - round(lambda), the weight of m = round(lambda) + k relative
+    to that of round(lambda) is e^(-k (k - 2f)/(2 tau)): no term grows with
+    |lambda|, and near the ground state mu and nu keep their full relative
+    precision.  The closed-form window |k| <= ceil(sqrt(2 tau N)) + 1 puts
+    both edges at least N = _WINDOW_NATS nats below the peak, since |f| <= 1/2.
     """
-    center = round(lam)
-    half = 4
-    while True:
-        m = np.arange(center - half, center + half + 1, dtype=float)
-        logw = -m * (m - 2.0 * lam) / (2.0 * tau)
-        top = logw.max()
-        if logw[0] < top - _WINDOW_NATS and logw[-1] < top - _WINDOW_NATS:
-            return m, logw
-        if half > _WINDOW_MAX_HALFWIDTH:
-            raise ConvergenceError(
-                f"momentum window did not close at lambda={lam}, tau={tau}"
-            )
-        half *= 2
+    tau = validate_temperature(tau)
+    lam = np.asarray(lam, dtype=float)
+    validate_control(np.max(np.abs(lam), initial=0.0))
+    half = math.ceil(math.sqrt(2.0 * tau * _WINDOW_NATS)) + 1
+    if half > _WINDOW_MAX_HALFWIDTH:
+        raise ConvergenceError(f"momentum window too wide at tau={tau}")
+    k = np.arange(-half, half + 1, dtype=float)
+    flat = lam.ravel()
+    mu, nu, log_z = np.empty((3, flat.size))
+    step = max(1, _BLOCK_TERMS // k.size)
+    for start in range(0, flat.size, step):
+        block = slice(start, start + step)
+        center = np.round(flat[block])
+        f = (flat[block] - center)[:, None]
+        w = np.exp(-k * (k - 2.0 * f) / (2.0 * tau))
+        norm = w.sum(axis=1)
+        mu[block] = (w * k).sum(axis=1) / norm
+        nu[block] = (w * k * k).sum(axis=1) / norm
+        log_z[block] = -center * (center - 2.0 * flat[block]) / (2.0 * tau) + np.log(norm)
+    mu, nu, log_z = (v.reshape(lam.shape) for v in (mu, nu, log_z))
+    eps = mu - (lam - np.round(lam))
+    if not (np.all(np.abs(eps) <= 0.5 + 1e-12) and np.all(nu - mu * mu >= -1e-9)):
+        raise DomainError(f"momentum moments out of range at tau={tau}: |epsilon| > 1/2 "
+                          "or negative variance")
+    return mu, nu, log_z, k.size
 
 
 def quantum_partition_magnetic_direct(lam: float, tau: float) -> float:
     """ln Z from the direct sum over quantized momentum states."""
-    lam = validate_control(lam)
-    tau = validate_temperature(tau)
-    _, logw = _window(lam, tau)
-    top = logw.max()
-    return float(top + math.log(np.exp(logw - top).sum()))
+    return momentum_stats(lam, tau).log_partition
 
 
 def quantum_partition_magnetic_theta(lam: float, tau: float) -> float:
@@ -93,21 +106,17 @@ def quantum_partition_magnetic_theta(lam: float, tau: float) -> float:
 
 
 def momentum_stats(lam: float, tau: float) -> MomentumStats:
-    """Thermal mean and second moment of L_z over the truncated m-window."""
+    """Thermal mean, second moment and variance of L_z at one (lambda, tau)."""
     lam = validate_control(lam)
-    tau = validate_temperature(tau)
-    m, logw = _window(lam, tau)
-    top = logw.max()
-    w = np.exp(logw - top)
-    norm = w.sum()
-    mean = float((w * m).sum() / norm)
-    second = float((w * m * m).sum() / norm)
+    center = float(round(lam))
+    mu, nu, log_z, terms = (float(v) for v in momentum_moments(lam, tau))
     return MomentumStats(
-        mean_lz=mean,
-        second_moment_lz=second,
-        epsilon=mean - lam,
-        log_partition=float(top + math.log(norm)),
-        terms_used=len(m),
+        mean_lz=center + mu,
+        second_moment_lz=center * center + 2.0 * center * mu + nu,
+        epsilon=mu - (lam - center),
+        variance_lz=nu - mu * mu,
+        log_partition=log_z,
+        terms_used=int(terms),
     )
 
 
@@ -139,23 +148,46 @@ def epsilon_fourier(lam: float, tau: float, n_max: int | None = None) -> float:
     return total
 
 
-def _quartet_from_stats(
-    stats_h: MomentumStats, stats_c: MomentumStats, lam_h: float, lam_c: float
-) -> MeanEnergyQuartet:
+def quantum_quartet_magnetic(point: CyclePoint) -> MeanEnergyQuartet:
+    """Mean-energy quartet of the quantum magnetic machine (absolute energies)."""
+    h = momentum_stats(point.lambda_h, point.tau_h)
+    c = momentum_stats(point.lambda_c, point.tau_c)
     # <H_i>_j = <L_z^2>_j/2 - lambda_i <L_z>_j  (reduced units)
     return MeanEnergyQuartet(
-        hh=0.5 * stats_h.second_moment_lz - lam_h * stats_h.mean_lz,
-        hc=0.5 * stats_c.second_moment_lz - lam_h * stats_c.mean_lz,
-        ch=0.5 * stats_h.second_moment_lz - lam_c * stats_h.mean_lz,
-        cc=0.5 * stats_c.second_moment_lz - lam_c * stats_c.mean_lz,
+        hh=0.5 * h.second_moment_lz - point.lambda_h * h.mean_lz,
+        hc=0.5 * c.second_moment_lz - point.lambda_h * c.mean_lz,
+        ch=0.5 * h.second_moment_lz - point.lambda_c * h.mean_lz,
+        cc=0.5 * c.second_moment_lz - point.lambda_c * c.mean_lz,
     )
 
 
-def quantum_quartet_magnetic(point: CyclePoint) -> MeanEnergyQuartet:
-    """Mean-energy quartet of the quantum magnetic machine."""
-    stats_h = momentum_stats(point.lambda_h, point.tau_h)
-    stats_c = momentum_stats(point.lambda_c, point.tau_c)
-    return _quartet_from_stats(stats_h, stats_c, point.lambda_h, point.lambda_c)
+def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
+    """(Q_c, Q_h, W) of the quantum magnetic machine, elementwise over lam_h, tau_h.
+
+    Each stroke j enters through its moments mu_j, nu_j of k = m - c_j,
+    c_j = round(lambda_j), and f_j = lambda_j - c_j.  With D = c_h - c_c
+    (shift) and d = lambda_h - lambda_c, the quartet differences reduce to
+
+        Q_c = (nu_c - nu_h)/2 + f_c (mu_h - mu_c) - D (mu_h - f_c + D/2),
+        Q_h = (nu_h - nu_c)/2 + f_h (mu_c - mu_h) + D (mu_c - f_h - D/2),
+        W   = d (mu_h - mu_c + D) = -(Q_c + Q_h),
+
+    in which the lambda^2 and f^2 terms have cancelled algebraically, so the
+    heats keep full precision at any |lambda| and near the ground state.
+    The hot moments are taken one tau_h value at a time, vectorized over
+    lambda_h.
+    """
+    lam_h, tau_h = np.broadcast_arrays(np.asarray(lam_h, dtype=float), np.asarray(tau_h, dtype=float))
+    mu_c, nu_c, _, _ = momentum_moments(lam_c, tau_c)
+    mu_h, nu_h = np.empty(lam_h.shape), np.empty(lam_h.shape)
+    for tau in np.unique(tau_h):
+        row = tau_h == tau
+        mu_h[row], nu_h[row], _, _ = momentum_moments(lam_h[row], tau)
+    c_h, c_c = np.round(lam_h), round(lam_c)
+    f_h, f_c, shift = lam_h - c_h, lam_c - c_c, c_h - c_c
+    q_c = 0.5 * (nu_c - nu_h) + f_c * (mu_h - mu_c) - shift * (mu_h - f_c + 0.5 * shift)
+    q_h = 0.5 * (nu_h - nu_c) + f_h * (mu_c - mu_h) + shift * (mu_c - f_h - 0.5 * shift)
+    return q_c, q_h, (lam_h - lam_c) * (mu_h - mu_c + shift)
 
 
 def optimal_work_scan(
@@ -166,10 +198,11 @@ def optimal_work_scan(
 ) -> tuple[CyclePoint, float]:
     """Grid-minimize the per-cycle work over hot-stroke parameters.
 
-    Returns the minimizing CyclePoint and W_min (units of E).  For
-    lambda_c -> 1/2 from below and tau_c -> 0, W_min approaches -E/16 from
-    above with minimizer lambda_h -> lambda_c/2; the mirrored branch
-    lambda_c > 1/2 with lambda_h = (1 + lambda_c)/2 gives the same optimum.
+    Returns the minimizing CyclePoint and W_min (units of E); grid rows
+    with tau_h < tau_c are skipped.  For lambda_c -> 1/2 from below and
+    tau_c -> 0, W_min approaches -E/16 from above with minimizer
+    lambda_h -> lambda_c/2; the mirrored branch lambda_c > 1/2 with
+    lambda_h = (1 + lambda_c)/2 gives the same optimum.
 
     The order of the limits matters: tau_c must stay well below the cold
     doublet gap (1 - 2 lambda_c)/2, so that the cold state is the m = 0
@@ -179,33 +212,16 @@ def optimal_work_scan(
     tau_c = 1e-4, equal to the gap, <L_z>_c = 1/(1 + e) and this bound is
     -0.0133 E, far above -E/16.
     """
-    lams = _axis(lambda_h_range)
-    taus = _axis(tau_h_range)
-    if lams.size == 0 or taus.size == 0:
+    if lambda_h_range[2] < 1 or tau_h_range[2] < 1:
         raise DomainError("optimal_work_scan needs a non-empty grid")
-    stats_c = momentum_stats(lambda_c, tau_c)
-    best_point = None
-    best_w = math.inf
-    for tau_h in taus:
-        if tau_h < tau_c:
-            continue
-        for lam_h in lams:
-            stats_h = momentum_stats(lam_h, tau_h)
-            # W = (lambda_h - lambda_c)(<L_z>_h - <L_z>_c), identical to the
-            # quartet assembly -(Q_c + Q_h).
-            w = (lam_h - lambda_c) * (stats_h.mean_lz - stats_c.mean_lz)
-            if w < best_w:
-                best_w = w
-                best_point = CyclePoint(lam_h, lambda_c, tau_h, tau_c)
-    if best_point is None:
+    taus = np.linspace(tau_h_range[0], tau_h_range[1], int(tau_h_range[2]))
+    taus = taus[~(taus < tau_c)]
+    if taus.size == 0:
         raise DomainError("optimal_work_scan grid contains no tau_h >= tau_c")
-    return best_point, best_w
-
-
-def _axis(rng: tuple[float, float, int]) -> np.ndarray:
-    lo, hi, count = rng
-    if count < 1:
-        raise DomainError(f"axis count must be >= 1, got {count}")
-    if count == 1:
-        return np.array([float(lo)])
-    return np.linspace(float(lo), float(hi), int(count))
+    lams = np.linspace(lambda_h_range[0], lambda_h_range[1], int(lambda_h_range[2]))
+    lam_h, tau_h = np.meshgrid(lams, taus)
+    _, _, w = cycle_heats_magnetic(lam_h, tau_h, lambda_c, tau_c)
+    # argmin takes the first minimum in (tau_h, lambda_h) row-major order.
+    best = int(np.argmin(w))
+    point = CyclePoint(lam_h.flat[best], lambda_c, tau_h.flat[best], tau_c)
+    return point, float(w.flat[best])

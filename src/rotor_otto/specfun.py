@@ -1,89 +1,28 @@
-"""Numerically robust special functions.
+"""Special functions: the Bessel ratio I1/I0 and the Jacobi theta function.
 
-Modified Bessel functions I0, I1 (through their log and their ratio), the
-Jacobi theta function theta_3, and a stable log-sum-exp.  All routines are
-pure and thread-safe.
-
-Evaluation strategy for I0: ascending power series for small-to-moderate
-arguments (every term is positive, so the sum is perfectly conditioned),
-asymptotic expansion for large arguments where the power series would need
-hundreds of terms.  The ratio I1/I0 uses the Gauss continued fraction
-evaluated by backward recurrence, which is cancellation-free.
+The ratio I1/I0 is taken from scipy's exponentially scaled Bessel functions
+i1e/i0e, whose common factor e^(-x) cancels, so it neither overflows nor
+loses precision at large argument.  theta_3 is an oracle for the magnetic
+partition function.  All routines are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+
+import numpy as np
+from scipy.special import i0e, i1e
 
 from .units import ConvergenceError, DomainError
 
-# Power series below, asymptotic expansion above.  At the split the
-# asymptotic truncation error is ~e^(-2x) ~ 1e-35, far below 1e-13.
-_BESSEL_SERIES_MAX = 40.0
 
-
-def log_bessel_i0(x: float) -> float:
-    """ln I0(x) for x >= 0, relative error of I0 below 1e-13.
-
-    I0(-x) = I0(x); callers pass |x|.
-    """
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"log_bessel_i0 requires finite x >= 0, got {x}")
-    if x <= _BESSEL_SERIES_MAX:
-        # I0(x) = sum_k (x/2)^(2k) / (k!)^2, all terms positive.
-        u = 0.25 * x * x
-        term = 1.0
-        s = 1.0
-        k = 0
-        while term > 1e-18 * s:
-            k += 1
-            term *= u / (k * k)
-            s += term
-        return math.log(s)
-    # I0(x) ~ e^x / sqrt(2 pi x) * sum_k a_k / x^k with
-    # a_k = prod_{j=1..k} (2j-1)^2 / (8 k!), truncated at the smallest term.
-    s = 1.0
-    term = 1.0
-    prev = math.inf
-    k = 0
-    while True:
-        k += 1
-        term *= (2 * k - 1) ** 2 / (8.0 * k * x)
-        if term >= prev or term < 1e-18 * s:
-            break
-        s += term
-        prev = term
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(s)
-
-
-def bessel_ratio_i1_i0(x: float) -> float:
-    """I1(x)/I0(x) in [0, 1) for x >= 0, absolute error below 1e-13.
-
-    Uses the continued fraction I_n/I_{n-1} = 1 / (2n/x + I_{n+1}/I_n),
-    run backward from a zero tail; the depth is doubled until the value
-    is stationary to 1e-16.
-    """
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"bessel_ratio_i1_i0 requires finite x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-
-    def _backward(depth: int) -> float:
-        t = 0.0
-        for n in range(depth, 0, -1):
-            t = 1.0 / (2.0 * n / x + t)
-        return t
-
-    depth = max(16, int(x) + 16)
-    val = _backward(depth)
-    for _ in range(40):
-        depth *= 2
-        new = _backward(depth)
-        if abs(new - val) <= 1e-16:
-            return new
-        val = new
-    raise ConvergenceError(f"bessel_ratio_i1_i0 did not stabilize at x={x}")
+def bessel_ratio_i1_i0(x):
+    """I1(x)/I0(x) in [0, 1) for x >= 0, elementwise over an array or a float."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= 0.0) & (x < math.inf))
+    if bad.any():
+        raise DomainError(f"bessel_ratio_i1_i0 requires finite x >= 0, got {x[bad].flat[0]}")
+    return i1e(x) / i0e(x)
 
 
 def jacobi_theta3(z: float, log_q: float) -> float:
@@ -115,16 +54,3 @@ def jacobi_theta3(z: float, log_q: float) -> float:
         s *= (a * a + 4.0 * r * cos_z * cos_z) * -math.expm1(2 * n * log_q)
         if n > 100000:
             raise ConvergenceError(f"theta product did not converge, log_q={log_q}")
-
-
-def log_sum_exp(terms: Sequence[float]) -> float:
-    """ln sum(e^terms), stable against overflow/underflow (shift by max).
-
-    Entries may be -inf; the sequence must be non-empty.
-    """
-    if len(terms) == 0:
-        raise DomainError("log_sum_exp of empty sequence")
-    m = max(terms)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(t - m) for t in terms))

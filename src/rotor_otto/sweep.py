@@ -1,31 +1,30 @@
 """Parameter sweeps, momentum curves, regime boundaries, CSV/JSON output.
 
-A sweep evaluates the cycle pipeline on a rectangular (lambda_h, tau_h)
-grid at fixed cold-stroke parameters.  Cells are pure functions of their
-coordinates, so evaluation order (and threading) cannot change the result.
-Boundaries between operation regimes are the zero-level polylines of W and
-Q_c, extracted by marching squares with linear edge interpolation.
+A sweep evaluates the cycle on a rectangular (lambda_h, tau_h) grid at
+fixed cold-stroke parameters, with one array call of the machine/model
+kernel and of the mode classifier; evaluate_point is the same call on one
+cell.  Boundaries between operation regimes are the zero-level polylines of
+W and Q_c, extracted by marching squares with linear edge interpolation.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import classical, qelectric, qmagnetic
 from .cycle import (
     MACHINE_ELECTRIC,
-    MACHINE_MAGNETIC,
     MODEL_CLASSICAL,
-    MODEL_QUANTUM,
     CycleReport,
-    assemble_cycle,
+    check_tags,
+    classify_modes,
+    report_from_entries,
 )
 from .units import ConvergenceError, CyclePoint, DomainError
 
@@ -60,10 +59,7 @@ class SweepSpec:
                 raise DomainError(f"unknown scale {scale!r}")
             if scale == SCALE_LOG and lo <= 0.0:
                 raise DomainError(f"log-scaled {name} axis needs min > 0, got {lo}")
-        if self.machine not in (MACHINE_ELECTRIC, MACHINE_MAGNETIC):
-            raise DomainError(f"unknown machine {self.machine!r}")
-        if self.model not in (MODEL_CLASSICAL, MODEL_QUANTUM):
-            raise DomainError(f"unknown model {self.model!r}")
+        check_tags(self.machine, self.model)
 
     def lambda_axis(self) -> np.ndarray:
         return _axis(self.lambda_h_range, self.lambda_scale)
@@ -104,93 +100,95 @@ def _axis(rng: tuple[float, float, int], scale: str) -> np.ndarray:
     return np.linspace(lo, hi, int(count))
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepGrid:
-    """Evaluated sweep: cells in row-major order (tau rows, lambda columns).
+    """Evaluated sweep: arrays of shape (n_tau, n_lambda), tau rows and lambda columns.
 
-    cells[i_tau * n_lambda + i_lambda] is the report at
-    (lambda_axis[i_lambda], tau_axis[i_tau]).
+    Entry [i_tau, i_lambda] belongs to (lambda_axis[i_lambda], tau_axis[i_tau]);
+    an absent efficiency or COP is NaN.  cell() and cells build CycleReports
+    from the arrays on each call.
     """
 
     spec: SweepSpec
-    cells: list[CycleReport]
+    q_c: np.ndarray
+    q_h: np.ndarray
+    w: np.ndarray
+    mode: np.ndarray
+    efficiency: np.ndarray
+    cop: np.ndarray
     boundary_engine: list[list[tuple[float, float]]] = field(default_factory=list)
     boundary_fridge: list[list[tuple[float, float]]] = field(default_factory=list)
 
     def cell(self, i_lambda: int, i_tau: int) -> CycleReport:
-        n_lambda = self.spec.lambda_h_range[2]
-        return self.cells[i_tau * n_lambda + i_lambda]
+        return self._report(self.spec.lambda_axis()[i_lambda], self.spec.tau_axis()[i_tau],
+                            (i_tau, i_lambda))
 
-    def field_array(self, attr: str) -> np.ndarray:
-        """Grid values of a report attribute, shape (n_lambda, n_tau)."""
-        n_lambda = self.spec.lambda_h_range[2]
-        n_tau = self.spec.tau_h_range[2]
-        out = np.empty((n_lambda, n_tau))
-        for j in range(n_tau):
-            for i in range(n_lambda):
-                out[i, j] = getattr(self.cells[j * n_lambda + i], attr)
-        return out
+    @property
+    def cells(self) -> list[CycleReport]:
+        """Reports of every cell in row-major order (tau rows, lambda columns)."""
+        lams, taus = self.spec.lambda_axis(), self.spec.tau_axis()
+        return [self._report(lam, tau, (j, i))
+                for j, tau in enumerate(taus) for i, lam in enumerate(lams)]
+
+    def _report(self, lam_h, tau_h, index) -> CycleReport:
+        spec = self.spec
+        point = CyclePoint(lam_h, spec.lambda_c, tau_h, spec.tau_c)
+        entries = (a[index] for a in (self.q_c, self.q_h, self.w, self.mode, self.efficiency, self.cop))
+        return report_from_entries(spec.machine, spec.model, point, *entries)
 
 
-def quartet_for(machine: str, model: str, point: CyclePoint, tol: float = 1e-10):
-    """Dispatch to the machine/model mean-energy pipeline."""
-    if machine == MACHINE_ELECTRIC:
-        if model == MODEL_CLASSICAL:
-            return classical.classical_cycle_electric(point)
-        return qelectric.thermal_quartet_electric(point, tol=tol)
-    if model == MODEL_CLASSICAL:
-        return classical.classical_cycle_magnetic(point)
-    return qmagnetic.quantum_quartet_magnetic(point)
+def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c, tol):
+    """(q_c, q_h, w, mode, efficiency, cop) at broadcast hot-stroke arrays.
+
+    The coordinates must be valid cycle points (see CyclePoint).
+    """
+    check_tags(machine, model)
+    if machine == MACHINE_ELECTRIC and model == MODEL_CLASSICAL:
+        q_c, q_h, w = classical.cycle_heats_electric(lam_h, tau_h, lam_c, tau_c)
+    elif machine == MACHINE_ELECTRIC:
+        q_c, q_h, w = qelectric.cycle_heats_electric(lam_h, tau_h, lam_c, tau_c, tol=tol)
+    elif model == MODEL_CLASSICAL:
+        q_c, q_h, w = classical.cycle_heats_magnetic(lam_h, tau_h, lam_c, tau_c)
+    else:
+        q_c, q_h, w = qmagnetic.cycle_heats_magnetic(lam_h, tau_h, lam_c, tau_c)
+    return (q_c, q_h, w) + classify_modes(q_c, q_h, w, tau_h, tau_c)
 
 
 def evaluate_point(
     machine: str, model: str, point: CyclePoint, tol: float = 1e-10
 ) -> CycleReport:
-    """Single-cycle evaluation: quartet plus cycle assembly."""
-    quartet = quartet_for(machine, model, point, tol=tol)
-    return assemble_cycle(quartet, point, machine, model)
+    """Single-cycle evaluation: the sweep's kernels on one cell."""
+    entries = _cycle_arrays(
+        machine, model, point.lambda_h, point.tau_h, point.lambda_c, point.tau_c, tol
+    )
+    return report_from_entries(machine, model, point, *entries)
 
 
-def run_sweep(
-    spec: SweepSpec,
-    threads: int = 1,
-    tol: float = 1e-10,
-    progress: Callable[[float], None] | None = None,
-) -> SweepGrid:
+def run_sweep(spec: SweepSpec, tol: float = 1e-10) -> SweepGrid:
     """Evaluate every cell of the sweep and extract regime boundaries.
 
-    Cell failures are re-raised with the offending grid coordinates
-    attached.  Results are independent of thread count.
+    A failure is re-raised with the grid coordinates of the first cell, in
+    row-major order, that fails on its own.
     """
-    lams = spec.lambda_axis()
-    taus = spec.tau_axis()
-
-    def cell_at(idx: int) -> CycleReport:
-        i_tau, i_lam = divmod(idx, len(lams))
-        lam_h, tau_h = lams[i_lam], taus[i_tau]
-        try:
-            point = CyclePoint(lam_h, spec.lambda_c, tau_h, spec.tau_c)
-            return evaluate_point(spec.machine, spec.model, point, tol=tol)
-        except (DomainError, ConvergenceError) as exc:
-            raise type(exc)(
-                f"cell (lambda_h={lam_h}, tau_h={tau_h}): {exc}"
-            ) from exc
-
-    total = len(lams) * len(taus)
-    cells: list[CycleReport | None] = [None] * total
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, report in zip(range(total), pool.map(cell_at, range(total))):
-                cells[idx] = report
-                if progress is not None:
-                    progress((idx + 1) / total)
-    else:
-        for idx in range(total):
-            cells[idx] = cell_at(idx)
-            if progress is not None:
-                progress((idx + 1) / total)
-
-    grid = SweepGrid(spec=spec, cells=cells)
+    lams, taus = spec.lambda_axis(), spec.tau_axis()
+    lam_h, tau_h = np.meshgrid(lams, taus)
+    try:
+        # A cell's coordinates are valid iff its column's and its row's are.
+        for lam in lams:
+            CyclePoint(lam, spec.lambda_c, taus[-1], spec.tau_c)
+        for tau in taus:
+            CyclePoint(lams[0], spec.lambda_c, tau, spec.tau_c)
+        arrays = _cycle_arrays(spec.machine, spec.model, lam_h, tau_h, spec.lambda_c,
+                               spec.tau_c, tol)
+    except (DomainError, ConvergenceError):
+        for lam, tau in zip(lam_h.flat, tau_h.flat):
+            try:
+                evaluate_point(spec.machine, spec.model,
+                               CyclePoint(lam, spec.lambda_c, tau, spec.tau_c), tol=tol)
+            except (DomainError, ConvergenceError) as exc:
+                raise type(exc)(f"cell (lambda_h={lam}, tau_h={tau}): {exc}") from exc
+        raise
+    grid = SweepGrid(spec, *arrays)
     grid.boundary_engine, grid.boundary_fridge = extract_boundaries(grid)
     return grid
 
@@ -202,11 +200,13 @@ def momentum_curve(
     lo, hi, count = lambda_range
     if count < 2 or not lo < hi:
         raise DomainError(f"invalid lambda range {lambda_range}")
+    lams = np.linspace(lo, hi, int(count))
+    centers = np.round(lams)
     rows = []
     for tau in taus:
-        for lam in np.linspace(lo, hi, int(count)):
-            stats = qmagnetic.momentum_stats(float(lam), float(tau))
-            rows.append((float(lam), float(tau), stats.mean_lz, stats.epsilon))
+        mu = qmagnetic.momentum_moments(lams, tau)[0]
+        rows += zip(lams.tolist(), [float(tau)] * len(lams), (centers + mu).tolist(),
+                    (mu - (lams - centers)).tolist())
     return rows
 
 
@@ -216,45 +216,38 @@ def extract_boundaries(
     """Zero-level polylines of W (engine boundary) and Q_c (fridge boundary)."""
     lams = grid.spec.lambda_axis()
     taus = grid.spec.tau_axis()
-    w = grid.field_array("w")
-    q_c = grid.field_array("q_c")
     return (
-        _marching_squares(lams, taus, -w),
-        _marching_squares(lams, taus, q_c),
+        _marching_squares(lams, taus, -grid.w.T),
+        _marching_squares(lams, taus, grid.q_c.T),
     )
 
 
 def _marching_squares(
     xs: np.ndarray, ys: np.ndarray, f: np.ndarray
 ) -> list[list[tuple[float, float]]]:
-    """Zero-crossing polylines of f sampled on the (xs, ys) node grid."""
-    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    """Zero-crossing polylines of f[i_x, i_y] sampled on the (xs, ys) node grid.
+
+    The corners of cell (i, j) are taken in the order (i, j), (i+1, j),
+    (i+1, j+1), (i, j+1); edge k runs from corner k to corner k+1, and a
+    crossing is interpolated from the edge's first corner.
+    """
     pos = f > 0.0
-
-    def interp(xa, ya, va, xb, yb, vb):
-        t = va / (va - vb)
-        return (xa + t * (xb - xa), ya + t * (yb - ya))
-
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = (
-                (xs[i], ys[j], f[i, j], pos[i, j]),
-                (xs[i + 1], ys[j], f[i + 1, j], pos[i + 1, j]),
-                (xs[i + 1], ys[j + 1], f[i + 1, j + 1], pos[i + 1, j + 1]),
-                (xs[i], ys[j + 1], f[i, j + 1], pos[i, j + 1]),
-            )
-            crossings = []
-            for k in range(4):
-                xa, ya, va, sa = corners[k]
-                xb, yb, vb, sb = corners[(k + 1) % 4]
-                if sa != sb:
-                    crossings.append(interp(xa, ya, va, xb, yb, vb))
-            if len(crossings) == 2:
-                segments.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                # saddle cell: pair crossings in edge order (0-1, 2-3)
-                segments.append((crossings[0], crossings[1]))
-                segments.append((crossings[2], crossings[3]))
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    lo, hi = slice(None, -1), slice(1, None)
+    corners = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
+    edges = []  # (sign change, crossing x, crossing y) of each cell's edge k
+    for k in range(4):
+        a, b = corners[k], corners[(k + 1) % 4]
+        with np.errstate(divide="ignore", invalid="ignore"):  # edges without a sign change
+            t = f[a] / (f[a] - f[b])
+            edges.append((pos[a] != pos[b], x[a] + t * (x[b] - x[a]), y[a] + t * (y[b] - y[a])))
+    segments = []
+    # Two crossings make one segment; a saddle cell's four pair in edge order.
+    for i, j in zip(*np.nonzero(sum(change for change, _, _ in edges))):
+        crossings = [(float(cx[i, j]), float(cy[i, j])) for change, cx, cy in edges if change[i, j]]
+        segments.append((crossings[0], crossings[1]))
+        if len(crossings) == 4:
+            segments.append((crossings[2], crossings[3]))
     return _chain_segments(segments)
 
 
@@ -314,56 +307,78 @@ CSV_COLUMNS = [
 ]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _records(grid: SweepGrid):
+    """Per-cell dicts in the CycleReport JSON schema, row-major; None for NaN.
+
+    Made one tau_h row at a time, from Python floats and strs (the repr of a
+    numpy float names its type), so no grid-sized list of objects is held.
+    """
+    spec = grid.spec
+    lams = spec.lambda_axis().tolist()
+    lam_c, tau_c = float(spec.lambda_c), float(spec.tau_c)
+    for j, tau_h in enumerate(spec.tau_axis().tolist()):
+        row = (a[j].tolist() for a in (grid.q_c, grid.q_h, grid.w, grid.mode, grid.efficiency, grid.cop))
+        for lam_h, q_c, q_h, w, mode, eff, cop in zip(lams, *row):
+            yield {
+                "q_c": q_c,
+                "q_h": q_h,
+                "w": w,
+                "mode": mode,
+                "efficiency": None if math.isnan(eff) else eff,
+                "cop": None if math.isnan(cop) else cop,
+                "machine": spec.machine,
+                "model": spec.model,
+                "lambda_h": lam_h,
+                "lambda_c": lam_c,
+                "tau_h": tau_h,
+                "tau_c": tau_c,
+            }
+
+
+def _write(path, what: str, emit) -> None:
+    """Fill the file at path through emit(fh); a file this call opened is removed on failure."""
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise OSError(f"failed writing {what} to {path}: {exc}") from exc
+    try:
+        with fh:
+            emit(fh)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def write_csv(grid: SweepGrid, path) -> None:
-    """CSV with one row per cell; shortest round-trip decimals, '' for absent optionals."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for report in grid.cells:
-                p = report.point
-                writer.writerow(
-                    [
-                        _fmt(p.lambda_h),
-                        _fmt(p.tau_h),
-                        _fmt(p.lambda_c),
-                        _fmt(p.tau_c),
-                        report.machine,
-                        report.model,
-                        _fmt(report.q_c),
-                        _fmt(report.q_h),
-                        _fmt(report.w),
-                        report.mode,
-                        _fmt(report.efficiency),
-                        _fmt(report.cop),
-                    ]
-                )
-    except OSError as exc:
-        raise OSError(f"failed writing CSV to {path}: {exc}") from exc
+    """CSV with one row per cell; shortest round-trip decimals, '' for absent optionals.
+
+    The csv module writes floats by their repr and None as ''.
+    """
+
+    def emit(fh):
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([rec[key] for key in CSV_COLUMNS] for rec in _records(grid))
+
+    _write(path, "CSV", emit)
 
 
 def write_json(grid: SweepGrid, path) -> None:
-    """JSON mirroring the CycleReport schema plus the spec header."""
-    doc = {
-        "spec": grid.spec.to_dict(),
-        "cells": [report.to_json_dict() for report in grid.cells],
-        "boundary_engine": [[list(p) for p in line] for line in grid.boundary_engine],
-        "boundary_fridge": [[list(p) for p in line] for line in grid.boundary_fridge],
-    }
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"failed writing JSON to {path}: {exc}") from exc
+    """JSON mirroring the CycleReport schema plus the spec header.
+
+    The document is written as json.dump would write it, one cell at a time.
+    """
+
+    def emit(fh):
+        fh.write('{"spec": ' + json.dumps(grid.spec.to_dict()) + ', "cells": [')
+        for k, record in enumerate(_records(grid)):
+            fh.write((", " if k else "") + json.dumps(record))
+        lines = [[[list(p) for p in line] for line in grid.boundary_engine],
+                 [[list(p) for p in line] for line in grid.boundary_fridge]]
+        fh.write('], "boundary_engine": ' + json.dumps(lines[0])
+                 + ', "boundary_fridge": ' + json.dumps(lines[1]) + "}\n")
+
+    _write(path, "JSON", emit)
 
 
 def read_json(path) -> SweepGrid:
@@ -373,9 +388,21 @@ def read_json(path) -> SweepGrid:
             doc = json.load(fh)
     except OSError as exc:
         raise OSError(f"failed reading JSON from {path}: {exc}") from exc
+    spec = SweepSpec.from_dict(doc["spec"])
+    shape = (spec.tau_h_range[2], spec.lambda_h_range[2])
+
+    def column(key, dtype=float):
+        values = [math.nan if d[key] is None else d[key] for d in doc["cells"]]
+        return np.array(values, dtype=dtype).reshape(shape)
+
     return SweepGrid(
-        spec=SweepSpec.from_dict(doc["spec"]),
-        cells=[CycleReport.from_json_dict(d) for d in doc["cells"]],
+        spec=spec,
+        q_c=column("q_c"),
+        q_h=column("q_h"),
+        w=column("w"),
+        mode=column("mode", dtype=str),
+        efficiency=column("efficiency"),
+        cop=column("cop"),
         boundary_engine=[[tuple(p) for p in line] for line in doc["boundary_engine"]],
         boundary_fridge=[[tuple(p) for p in line] for line in doc["boundary_fridge"]],
     )

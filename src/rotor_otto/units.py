@@ -79,13 +79,6 @@ class CyclePoint:
         return cls(d["lambda_h"], d["lambda_c"], d["tau_h"], d["tau_c"])
 
 
-def make_cycle_point(
-    lambda_h: float, lambda_c: float, tau_h: float, tau_c: float
-) -> CyclePoint:
-    """Validated CyclePoint constructor (alias for the dataclass)."""
-    return CyclePoint(lambda_h, lambda_c, tau_h, tau_c)
-
-
 @dataclass(frozen=True)
 class MeanEnergyQuartet:
     """The four equilibrium averages <H_i>_j that determine an ideal cycle.

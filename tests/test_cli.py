@@ -105,6 +105,23 @@ class TestSweepCommand:
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_failing_sweep_keeps_existing_output(self, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"x\n")
+        code, _, err = run_cli(
+            [
+                "sweep", "--machine", "magnetic", "--model", "quantum",
+                "--lambda-h-min", "0", "--lambda-h-max", "0.5", "--lambda-h-count", "3",
+                "--tau-h-min", "0.001", "--tau-h-max", "1", "--tau-h-count", "3",
+                "--lambda-c", "0.4", "--tau-c", "0.01",
+                "--out", str(out), "--format", "csv",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "tau_h=0.001" in err
+        assert out.read_bytes() == b"x\n"
+
 
 class TestMomentumCommand:
     def test_stdout_csv(self, capsys):

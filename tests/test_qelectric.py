@@ -16,6 +16,8 @@ from rotor_otto.qelectric import (
 from rotor_otto.selftest import dense_pendulum_eigenvalues
 from rotor_otto.units import CyclePoint, DomainError
 
+from oracles import dense_quartet_electric
+
 
 class TestHamiltonianBuilder:
     def test_free_rotor(self):
@@ -126,6 +128,17 @@ class TestStrokeAverages:
             - log_partition_pendulum(lam - step, tau, cutoff)
         ) / (2 * step)
         assert s_avg == pytest.approx(fd, abs=1e-6)
+
+    def test_round_off_stops_the_doubling(self):
+        # At lambda_h ~ 862 the quartet's per-stroke tol (1e-10 / 862) lies
+        # below the round-off of <H>, which already agrees to 1.5e-13 between
+        # M = 32 and 64; the doubling must stop there, not run on noise.
+        p = CyclePoint(861.8547639571464, 0.011012854772924286, 12.348369624337156, 1.8480060611326552)
+        stroke_tol = 1e-10 / (1.0 + abs(p.lambda_h - p.lambda_c))
+        assert pendulum_stroke_averages(p.lambda_h, p.tau_h, stroke_tol)[2] == 64
+        quartet = thermal_quartet_electric(p)
+        for key, value in dense_quartet_electric(p.lambda_h, p.lambda_c, p.tau_h, p.tau_c).items():
+            assert abs(getattr(quartet, key) - value) < 1e-10, key
 
 
 class TestThermalQuartet:

@@ -12,7 +12,10 @@ from rotor_otto.qmagnetic import (
     quantum_partition_magnetic_theta,
     quantum_quartet_magnetic,
 )
+from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint, DomainError
+
+from oracles import magnetic_cycle_mp, momentum_moments_mp
 
 
 class TestPartitionFunctions:
@@ -96,6 +99,36 @@ class TestMomentumStats:
         # epsilon pulls toward the closest integer at low temperature
         eps = momentum_stats(lam, 0.01).epsilon
         assert (eps < 0) == negative
+
+
+class TestLargeLambda:
+    """Against the 30-digit sums: no moment may grow with |lambda|."""
+
+    @pytest.mark.parametrize("lam", [1e6 + 0.3, 1e8 + 0.3])
+    def test_epsilon_matches_oracle(self, lam):
+        mpmath = pytest.importorskip("mpmath")
+        stats = momentum_stats(lam, 0.01)
+        mean, _ = momentum_moments_mp(lam, 0.01)
+        with mpmath.workdps(30):
+            eps = float(mean - mpmath.mpf(lam))
+        assert abs(eps + 0.3) < 1e-8
+        assert abs(stats.epsilon - eps) < 1e-9
+        assert stats.variance_lz >= 0.0
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            CyclePoint(1e4 + 0.37, 1e4 + 0.81, 0.5, 0.02),
+            CyclePoint(1e4 + 0.9, 1e4 + 0.2, 0.3, 0.1),
+            CyclePoint(-1e4 - 0.25, -1e4 + 0.45, 1.0, 0.01),
+        ],
+    )
+    def test_cycle_matches_oracle(self, point):
+        pytest.importorskip("mpmath")
+        report = evaluate_point("magnetic", "quantum", point)
+        q_c, w = magnetic_cycle_mp(point.lambda_h, point.lambda_c, point.tau_h, point.tau_c)
+        assert abs(report.q_c - float(q_c)) < 1e-9
+        assert abs(report.w - float(w)) < 1e-9
 
 
 class TestEpsilonFourier:

@@ -1,12 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 
 from rotor_otto.classical import classical_engine_condition_electric
-from rotor_otto.cycle import CycleReport
 from rotor_otto.sweep import (
     SweepGrid,
     SweepSpec,
     _marching_squares,
+    evaluate_point,
     extract_boundaries,
     momentum_curve,
     read_json,
@@ -14,7 +16,7 @@ from rotor_otto.sweep import (
     write_csv,
     write_json,
 )
-from rotor_otto.units import CyclePoint, DomainError
+from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
 
 
 def small_spec(**overrides):
@@ -94,12 +96,6 @@ class TestRunSweep:
         near = grid.cell(10, 10)
         assert near.mode == "Engine"
 
-    def test_threads_match_serial(self):
-        spec = small_spec(lambda_h_range=(1.0, 5.0, 6), tau_h_range=(1.0, 4.0, 5))
-        serial = run_sweep(spec, threads=1)
-        parallel = run_sweep(spec, threads=4)
-        assert serial.cells == parallel.cells
-
     def test_cell_error_carries_coordinates(self):
         spec = SweepSpec(
             lambda_h_range=(0.1, 1.0, 3),
@@ -111,6 +107,42 @@ class TestRunSweep:
         )
         with pytest.raises(DomainError, match="tau_h=0.5"):
             run_sweep(spec)
+
+    def test_kernel_error_names_first_failing_cell(self):
+        # The momentum window is too wide from the second tau_h row on.
+        spec = SweepSpec(
+            lambda_h_range=(0.1, 0.4, 3),
+            tau_h_range=(1.0, 2e12, 3),
+            lambda_c=0.3,
+            tau_c=1.0,
+            machine="magnetic",
+            model="quantum",
+        )
+        with pytest.raises(ConvergenceError, match=r"cell \(lambda_h=0\.1, tau_h=1000000000000\.5\)"):
+            run_sweep(spec)
+
+
+@pytest.mark.parametrize(
+    "machine, model, lambda_c, tau_c, lam, tau",
+    [
+        ("electric", "classical", 1.0, 1.0, (1.0, 8.0, 5), (1.0, 6.0, 4)),
+        ("electric", "quantum", 1.0, 0.05, (1.0, 8.0, 4), (1.0, 6.0, 3)),
+        ("magnetic", "classical", 0.4, 0.5, (-2.0, 2.0, 5), (1.0, 6.0, 4)),
+        ("magnetic", "quantum", 0.485, 0.001, (0.0, 0.5, 6), (0.01, 2.0, 5)),
+    ],
+)
+def test_grid_cells_equal_point_evaluations(machine, model, lambda_c, tau_c, lam, tau):
+    spec = SweepSpec(lam, tau, lambda_c, tau_c, machine, model)
+    grid = run_sweep(spec)
+    modes = set()
+    for j, tau_h in enumerate(spec.tau_axis()):
+        for i, lam_h in enumerate(spec.lambda_axis()):
+            point = CyclePoint(lam_h, lambda_c, tau_h, tau_c)
+            assert grid.cell(i, j) == evaluate_point(machine, model, point)
+            modes.add(grid.cell(i, j).mode)
+    assert grid.cells == [grid.cell(i, j) for j in range(tau[2]) for i in range(lam[2])]
+    if model == "quantum" or machine == "electric":
+        assert len(modes) > 1
 
 
 class TestMomentumCurve:
@@ -149,24 +181,16 @@ def synthetic_grid(f, n_lam=11, n_tau=9):
         machine="electric",
         model="classical",
     )
-    cells = []
-    for tau in spec.tau_axis():
-        for lam in spec.lambda_axis():
-            w = f(lam, tau)
-            cells.append(
-                CycleReport(
-                    q_c=-1.0,
-                    q_h=1.0 - w,
-                    w=w,
-                    mode="Heater",
-                    efficiency=None,
-                    cop=None,
-                    machine="electric",
-                    model="classical",
-                    point=CyclePoint(lam, 1.0, tau, 1.0),
-                )
-            )
-    return SweepGrid(spec=spec, cells=cells)
+    w = np.array([[f(lam, tau) for lam in spec.lambda_axis()] for tau in spec.tau_axis()])
+    return SweepGrid(
+        spec=spec,
+        q_c=np.full(w.shape, -1.0),
+        q_h=1.0 - w,
+        w=w,
+        mode=np.full(w.shape, "Heater"),
+        efficiency=np.full(w.shape, np.nan),
+        cop=np.full(w.shape, np.nan),
+    )
 
 
 class TestBoundaries:
@@ -213,6 +237,24 @@ class TestSerialization:
         write_csv(run_sweep(spec), a)
         write_csv(run_sweep(spec), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_floats_round_trip_bit_exact(self, tmp_path):
+        spec = SweepSpec((0.0, 0.5, 9), (0.01, 2.0, 7), 0.485, 0.001, "magnetic", "quantum")
+        grid = run_sweep(spec)
+        path = tmp_path / "grid.csv"
+        write_csv(grid, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        reports = grid.cells
+        assert len(rows) == len(reports)
+        for row, report in zip(rows, reports):
+            for key in ("q_c", "q_h", "w", "efficiency", "cop"):
+                value = getattr(report, key)
+                assert (row[key] == "") if value is None else (float(row[key]) == value)
+            for key in ("lambda_h", "tau_h", "lambda_c", "tau_c"):
+                assert float(row[key]) == getattr(report.point, key)
+            assert row["mode"] == report.mode
+        assert {r.mode for r in reports} == {"Engine", "Refrigerator", "Heater"}
 
     def test_csv_shape_and_header(self, tmp_path):
         spec = small_spec(lambda_h_range=(1.0, 4.0, 5), tau_h_range=(1.0, 3.0, 4))
