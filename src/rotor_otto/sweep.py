@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,11 +62,19 @@ class SweepSpec:
                 raise DomainError(f"log-scaled {name} axis needs min > 0, got {lo}")
         check_tags(self.machine, self.model)
 
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda_h axis, tau_h axis), computed once per spec and read-only."""
+        axes = (_axis(self.lambda_h_range, self.lambda_scale), _axis(self.tau_h_range, self.tau_scale))
+        for axis in axes:
+            axis.flags.writeable = False
+        return axes
+
     def lambda_axis(self) -> np.ndarray:
-        return _axis(self.lambda_h_range, self.lambda_scale)
+        return self._axes[0]
 
     def tau_axis(self) -> np.ndarray:
-        return _axis(self.tau_h_range, self.tau_scale)
+        return self._axes[1]
 
     def to_dict(self) -> dict:
         return {
@@ -106,7 +115,7 @@ class SweepGrid:
 
     Entry [i_tau, i_lambda] belongs to (lambda_axis[i_lambda], tau_axis[i_tau]);
     an absent efficiency or COP is NaN.  cell() and cells build CycleReports
-    from the arrays on each call.
+    from the arrays and the spec's axes on each call.
     """
 
     spec: SweepSpec

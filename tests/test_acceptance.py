@@ -267,10 +267,38 @@ def test_criterion_5_fig6_fig7_regimes(fig6_grid, fig7_grid):
                    f"{edge}, {elapsed:.1f}s)")
 
 
+def _fridge_top_edges(grid):
+    """[(excess, lambda_h, tau_h)] of each lambda_h column's refrigerator top edge.
+
+    excess <= 0 when the column's refrigerator cells form one tau_h run that
+    is closed from above, and the mpmath oracle confirms both sides of its
+    top edge: Q_c > 1e-12 with W >= -1e-12 at the top cell, Q_c <= 1e-12 in
+    the cell directly above it; (lambda_h, tau_h) is the top cell.
+    """
+    lams, taus = grid.spec.lambda_axis().tolist(), grid.spec.tau_axis().tolist()
+    lam_c, tau_c = grid.spec.lambda_c, grid.spec.tau_c
+    edges = []
+    for i, lam_h in enumerate(lams):
+        run = np.flatnonzero(grid.mode[:, i] == MODE_REFRIGERATOR)
+        if not len(run):
+            continue
+        top = int(run[-1])
+        if top - run[0] + 1 != len(run) or top + 1 == len(taus):
+            edges.append((np.inf, lam_h, taus[top]))
+            continue
+        q_top, w_top = magnetic_cycle_mp(lam_h, lam_c, taus[top], tau_c)
+        q_above, _ = magnetic_cycle_mp(lam_h, lam_c, taus[top + 1], tau_c)
+        edges.append((float(max(1e-12 - q_top, -1e-12 - w_top, q_above - 1e-12)), lam_h, taus[top]))
+    return edges
+
+
 def test_criterion_5_supplement_fridge_window(fig6_grid, fig7_grid):
     # Verified refrigeration window: cells exist below tau_h = 0.1, none
     # survive past tau_h = 0.15, and the residual heat intake above 0.1 is
-    # marginal (below 4e-3, i.e. under 7% of the E/16 work scale).
+    # marginal (below 4e-3, i.e. under 7% of the E/16 work scale).  The
+    # window's top edge in every lambda_h column is confirmed by the mpmath
+    # oracle, which the typed bounds alone cannot see moving.
+    pytest.importorskip("mpmath")
     lams = fig6_grid.spec.lambda_axis()
     taus = fig6_grid.spec.tau_axis()
     i = int(np.abs(lams - 0.25).argmin())
@@ -281,8 +309,13 @@ def test_criterion_5_supplement_fridge_window(fig6_grid, fig7_grid):
     ok &= any(c.point.tau_h < 0.1 for c in fridge_cells)
     ok &= all(c.point.tau_h < 0.15 for c in fridge_cells)
     ok &= all(c.q_c < 4e-3 for c in fridge_cells if c.point.tau_h >= 0.1)
+    edges = _fridge_top_edges(fig7_grid)
+    offending = [(lam_h, tau_h) for excess, lam_h, tau_h in edges if excess > 0.0]
+    ok &= not offending
+    first = f", first at (lambda_h={offending[0][0]:.5f}, tau_h={offending[0][1]:.5f})" if offending else ""
     assert verdict("5s", "fridge window (verified bounds)", ok,
-                   f"(fridge_cells={len(fridge_cells)})")
+                   f"(fridge_cells={len(fridge_cells)}, {len(offending)} of {len(edges)} "
+                   f"top edges offending{first})")
 
 
 def test_criterion_6_electric_classical_regime(electric_classical_200_grid):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotor_otto import qelectric
 from rotor_otto.classical import classical_mean_energy_electric
 from rotor_otto.cycle import assemble_cycle
 from rotor_otto.qelectric import (
@@ -10,11 +11,13 @@ from rotor_otto.qelectric import (
     build_pendulum_hamiltonian,
     eigensolve_sym_tridiagonal,
     log_partition_pendulum,
+    pendulum_column_averages,
     pendulum_stroke_averages,
     thermal_quartet_electric,
 )
 from rotor_otto.selftest import dense_pendulum_eigenvalues
-from rotor_otto.units import CyclePoint, DomainError
+from rotor_otto.sweep import SweepSpec, run_sweep
+from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
 
 from oracles import dense_quartet_electric
 
@@ -45,6 +48,13 @@ class TestEigensolver:
         disc = math.sqrt((a - b) ** 2 / 4 + c * c)
         assert spec.eigenvalues[0] == pytest.approx((a + b) / 2 - disc, abs=1e-14)
         assert spec.eigenvalues[1] == pytest.approx((a + b) / 2 + disc, abs=1e-14)
+
+    def test_non_finite_entries_rejected(self):
+        h = TridiagonalHamiltonian(
+            diag=np.array([1.0, np.nan, 2.0]), offdiag=np.array([0.1, 0.2]), cutoff_m=1, lam=0.0
+        )
+        with pytest.raises(DomainError):
+            eigensolve_sym_tridiagonal(h, want_vectors=True)
 
     def test_free_rotor_degeneracies(self):
         spec = eigensolve_sym_tridiagonal(
@@ -139,6 +149,90 @@ class TestStrokeAverages:
         quartet = thermal_quartet_electric(p)
         for key, value in dense_quartet_electric(p.lambda_h, p.lambda_c, p.tau_h, p.tau_c).items():
             assert abs(getattr(quartet, key) - value) < 1e-10, key
+
+
+def _per_tau_reference(lam, tau, tol):
+    """(<H>, <S>, cutoff) by one eigensolve per cutoff for this tau alone.
+
+    The per-tau loop that pendulum_column_averages replaces, kept as the
+    reference: same arithmetic, so the results must agree bit for bit.
+    """
+    prev, cutoff = None, 32
+    while cutoff <= 1 << 16:
+        spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff), want_vectors=True)
+        energies, v = spec.eigenvalues, spec.eigenvectors
+        if tau < 1e-6:
+            w = np.zeros_like(energies)
+            w[0] = 1.0
+        else:
+            w = np.exp(-(energies - energies[0]) / tau)
+            w = w / w.sum()
+        cur = (float(w @ energies),
+               float(w @ (0.5 - 0.5 * np.einsum("kn,kn->n", v[:-1, :], v[1:, :]))))
+        bound = max(tol, 8.0 * np.finfo(float).eps * (0.5 * cutoff * cutoff + 1.5 * lam))
+        if prev is not None and abs(cur[0] - prev[0]) < bound and abs(cur[1] - prev[1]) < bound:
+            return cur + (cutoff,)
+        prev, cutoff = cur, 2 * cutoff
+    raise AssertionError("reference did not converge")
+
+
+# Straddles the ground-state shortcut at tau = 1e-6 and reaches the
+# classical regime, so one column certifies at several cutoffs.
+_COLUMN_TAUS = [1e-9, 5e-7, 9.99e-7, 1e-6, 1.001e-6, 1e-4, 0.05, 0.7, 5.0, 40.0, 300.0]
+
+
+class TestColumnAverages:
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 37.5, 861.8547639571464])
+    def test_column_equals_per_tau_evaluation(self, lam):
+        tol = 1e-10 / (1.0 + lam)
+        e_avg, s_avg, cutoff = pendulum_column_averages(lam, _COLUMN_TAUS, tol)
+        assert len(set(cutoff.tolist())) > 1
+        for k, tau in enumerate(_COLUMN_TAUS):
+            single = pendulum_stroke_averages(lam, tau, tol)
+            assert (e_avg[k], s_avg[k], cutoff[k]) == single
+            assert single == _per_tau_reference(lam, tau, tol)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 861.8547639571464])
+    def test_continuous_across_ground_state_shortcut(self, lam):
+        e_avg, s_avg, _ = pendulum_column_averages(lam, _COLUMN_TAUS, 1e-11)
+        below, at, above = _COLUMN_TAUS.index(9.99e-7), _COLUMN_TAUS.index(1e-6), _COLUMN_TAUS.index(1.001e-6)
+        for avg in (e_avg, s_avg):
+            assert abs(avg[at] - avg[below]) <= 1e-12
+            assert abs(avg[above] - avg[at]) <= 1e-12
+        ground = eigensolve_sym_tridiagonal(
+            build_pendulum_hamiltonian(lam, 64), want_vectors=False
+        ).eigenvalues[0]
+        assert e_avg[below] == pytest.approx(ground, abs=1e-10)
+
+    def test_unconverged_column_names_lambda_and_first_open_tau(self, monkeypatch):
+        # Cap the doubling below the cutoff the warm taus need.
+        monkeypatch.setattr(qelectric, "_MAX_CUTOFF", 32)
+        with pytest.raises(ConvergenceError, match=r"lambda=2\.0, tau=40\.0 up to M=32"):
+            pendulum_column_averages(2.0, [0.05, 40.0, 300.0], 1e-12)
+
+    def test_invalid_inputs(self):
+        with pytest.raises(DomainError):
+            pendulum_column_averages(-1.0, [1.0], 1e-10)
+        with pytest.raises(DomainError):
+            pendulum_column_averages(1.0, [1.0, 0.0], 1e-10)
+        with pytest.raises(DomainError):
+            pendulum_column_averages(1.0, [1.0], 0.0)
+
+    def test_sweep_eigensolves_do_not_grow_with_n_tau(self, monkeypatch):
+        # One spectrum per lambda_h column and cutoff: a 5 x 200 sweep makes
+        # at most 8 eigensolves per column, hot and cold strokes included,
+        # where doubling each cell on its own takes at least two per cell.
+        calls = []
+
+        def counting(h, want_vectors):
+            calls.append(h.cutoff_m)
+            return eigensolve_sym_tridiagonal(h, want_vectors)
+
+        monkeypatch.setattr(qelectric, "eigensolve_sym_tridiagonal", counting)
+        pendulum_stroke_averages.cache_clear()
+        spec = SweepSpec((1.0, 20.0, 5), (1.0, 10.0, 200), 1.0, 1.0, "electric", "quantum")
+        run_sweep(spec)
+        assert 0 < len(calls) <= 8 * 5
 
 
 class TestThermalQuartet:

@@ -53,6 +53,16 @@ class TestSweepSpec:
         spec = small_spec(tau_h_range=(0.1, 10.0, 5), tau_scale="log")
         assert np.allclose(spec.tau_axis(), np.geomspace(0.1, 10.0, 5))
 
+    def test_axes_computed_once_and_read_only(self):
+        # cell() indexes the axes on every call; they are built once per spec.
+        spec = small_spec()
+        assert spec.lambda_axis() is spec.lambda_axis()
+        assert spec.tau_axis() is spec.tau_axis()
+        assert np.array_equal(spec.lambda_axis(), np.linspace(1.0, 8.0, 15))
+        with pytest.raises(ValueError):
+            spec.tau_axis()[0] = 0.0
+        assert spec == small_spec() and hash(spec) == hash(small_spec())
+
 
 class TestRunSweep:
     def test_electric_classical_engine_region_matches_condition(self):
