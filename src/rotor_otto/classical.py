@@ -8,9 +8,11 @@ Magnetic machine (charged rotor in a perpendicular field):
     H(lambda) = L_z^2/2 - lambda L_z
     <H_i>_j = tau_j/2 + (lambda_j/2)(lambda_j - 2 lambda_i)
 
-The magnetic quartet yields W = (lambda_h - lambda_c)^2 >= 0 and
-Q_c = -(tau_h - tau_c)/2 - (lambda_h - lambda_c)^2/2 <= 0 for every
-parameter choice: the classical magnetic rotor is only ever a heater.
+The magnetic quartet yields, with d = lambda_h - lambda_c,
+    W = d^2 >= 0,   Q_c = -(tau_h - tau_c)/2 - d^2/2 <= 0,   Q_h = (tau_h - tau_c)/2 - d^2/2
+for every parameter choice: the classical magnetic rotor is only ever a
+heater.  classical_cycle_magnetic returns this closed form, so no term of
+order lambda^2 is formed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .cycle import heats
 from .specfun import bessel_ratio_i1_i0
-from .units import CyclePoint, MeanEnergyQuartet, validate_control, validate_temperature
+from .units import CyclePoint, validate_control, validate_temperature
 
 
 def bessel_argument(lam: float, tau: float) -> float:
@@ -33,20 +35,6 @@ def _mean_energy_electric(lam_i, lam_j, tau_j):
     return 0.5 * tau_j + 0.5 * lam_i * (1.0 - bessel_ratio_i1_i0(lam_j / (2.0 * tau_j)))
 
 
-def _mean_energy_magnetic(lam_i, lam_j, tau_j):
-    return 0.5 * tau_j + 0.5 * lam_j * (lam_j - 2.0 * lam_i)
-
-
-def _quartet(mean_energy, lam_h, tau_h, lam_c, tau_c):
-    """(hh, hc, ch, cc): entry ij is <H_i>_j."""
-    return (
-        mean_energy(lam_h, lam_h, tau_h),
-        mean_energy(lam_h, lam_c, tau_c),
-        mean_energy(lam_c, lam_h, tau_h),
-        mean_energy(lam_c, lam_c, tau_c),
-    )
-
-
 def classical_mean_energy_electric(lam_i: float, lam_j: float, tau_j: float) -> float:
     """<H_i>_j of the classical electric machine, in units of E."""
     bessel_argument(lam_j, tau_j)
@@ -58,34 +46,29 @@ def classical_mean_energy_magnetic(lam_i: float, lam_j: float, tau_j: float) -> 
     lam_i = validate_control(lam_i)
     lam_j = validate_control(lam_j)
     tau_j = validate_temperature(tau_j)
-    return _mean_energy_magnetic(lam_i, lam_j, tau_j)
+    return 0.5 * tau_j + 0.5 * lam_j * (lam_j - 2.0 * lam_i)
 
 
-def classical_cycle_electric(point: CyclePoint) -> MeanEnergyQuartet:
-    """Mean-energy quartet of the classical electric machine."""
-    quartet = _quartet(_mean_energy_electric, point.lambda_h, point.tau_h, point.lambda_c, point.tau_c)
-    return MeanEnergyQuartet(*map(float, quartet))
-
-
-def classical_cycle_magnetic(point: CyclePoint) -> MeanEnergyQuartet:
-    """Mean-energy quartet of the classical magnetic machine."""
-    return MeanEnergyQuartet(
-        *_quartet(_mean_energy_magnetic, point.lambda_h, point.tau_h, point.lambda_c, point.tau_c)
-    )
-
-
-def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float):
+def classical_cycle_electric(lam_h, tau_h, lam_c: float, tau_c: float):
     """(Q_c, Q_h, W) of the classical electric machine, elementwise over lam_h, tau_h.
 
     The coordinates must be valid cycle points (see CyclePoint); negative
     lambda raises DomainError.
     """
-    return heats(*_quartet(_mean_energy_electric, lam_h, tau_h, lam_c, tau_c))
+    m = _mean_energy_electric
+    return heats(m(lam_h, lam_h, tau_h), m(lam_h, lam_c, tau_c), m(lam_c, lam_h, tau_h),
+                 m(lam_c, lam_c, tau_c))
 
 
-def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
-    """(Q_c, Q_h, W) of the classical magnetic machine, elementwise over lam_h, tau_h."""
-    return heats(*_quartet(_mean_energy_magnetic, lam_h, tau_h, lam_c, tau_c))
+def classical_cycle_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
+    """(Q_c, Q_h, W) of the classical magnetic machine, elementwise over lam_h, tau_h.
+
+    lam_h and tau_h are scalars or arrays of one shape.  The no-go closed form
+    of the module docstring: no lambda^2 term is formed, so the heats keep
+    full precision at any |lambda|.
+    """
+    d2 = (lam_h - lam_c) ** 2
+    return 0.5 * (tau_c - tau_h) - 0.5 * d2, 0.5 * (tau_h - tau_c) - 0.5 * d2, d2
 
 
 def classical_engine_condition_electric(point: CyclePoint) -> bool:

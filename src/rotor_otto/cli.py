@@ -2,7 +2,8 @@
 
 Subcommands: cycle, sweep, momentum, optimum, selftest.  Reduced units
 only.  stdout carries data, stderr diagnostics.  Exit codes: 0 success,
-1 selftest failure, 2 usage error, 3 numerical/convergence failure.
+1 selftest failure, 2 usage error (an unwritable --out included),
+3 numerical/convergence failure.
 """
 
 from __future__ import annotations
@@ -168,6 +169,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command}")
 
 

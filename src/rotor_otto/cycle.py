@@ -1,11 +1,15 @@
-"""Cycle assembly: heats, work, mode classification, efficiency.
+"""Cycle reports: mode classification, efficiency, COP.
 
-One assembly path shared by all four machine/model combinations:
-    Q_c = <H_c>_c - <H_c>_h,   Q_h = <H_h>_h - <H_h>_c,   W = -(Q_c + Q_h)
+Each machine/model kernel returns the heats and work of the cycle,
+    Q_c = <H_c>_c - <H_c>_h,   Q_h = <H_h>_h - <H_h>_c,   W = -(Q_c + Q_h),
+as arrays over the hot-stroke coordinates, in a form whose terms do not grow
+as lambda^2 (the magnetic kernels cancel them algebraically).  Here they are
+classified, elementwise:
 Engine:       W < -tol          (net work output), efficiency |W|/Q_h
 Refrigerator: Q_c > tol, W >= -tol, COP Q_c/W
 Heater:       anything else (the paper treats strict inequalities only, so
               numerical zeros fall here; default band tol = 1e-12 E).
+assemble_cycle packs one cell's entries into a CycleReport.
 
 The COP is an extension beyond the three paper-defined modes; it is the
 standard figure of merit for refrigerators and is flagged as such in the
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import CyclePoint, DomainError, MeanEnergyQuartet
+from .units import CyclePoint, DomainError
 
 MODE_ENGINE = "Engine"
 MODE_REFRIGERATOR = "Refrigerator"
@@ -92,7 +96,10 @@ def check_tags(machine: str, model: str) -> None:
 
 
 def heats(hh, hc, ch, cc):
-    """(Q_c, Q_h, W) from the mean-energy quartet entries, elementwise."""
+    """(Q_c, Q_h, W) from the mean-energy quartet entries <H_i>_j, elementwise.
+
+    For the electric machines, whose entries grow only as lambda.
+    """
     q_c = cc - ch
     q_h = hh - hc
     return q_c, q_h, -(q_c + q_h)
@@ -108,7 +115,7 @@ def classify_modes(q_c, q_h, w, tau_h, tau_c, tol: float = DEFAULT_MODE_TOL):
     """
     q_c, q_h, w = np.asarray(q_c), np.asarray(q_h), np.asarray(w)
     if np.isnan(q_c).any() or np.isnan(q_h).any():
-        raise DomainError("quartet produced NaN heat")
+        raise DomainError("kernel produced NaN heat")
     engine = w < -tol
     fridge = q_c > tol
     both = engine & fridge
@@ -126,10 +133,10 @@ def classify_modes(q_c, q_h, w, tau_h, tau_c, tol: float = DEFAULT_MODE_TOL):
     return mode, efficiency, cop
 
 
-def report_from_entries(
+def assemble_cycle(
     machine: str, model: str, point: CyclePoint, q_c, q_h, w, mode, efficiency, cop
 ) -> CycleReport:
-    """CycleReport of one cycle from its array entries; NaN means absent."""
+    """CycleReport of one cycle from its kernel and classify_modes entries; NaN means absent."""
     return CycleReport(
         q_c=float(q_c),
         q_h=float(q_h),
@@ -141,17 +148,3 @@ def report_from_entries(
         model=model,
         point=point,
     )
-
-
-def assemble_cycle(
-    quartet: MeanEnergyQuartet,
-    point: CyclePoint,
-    machine: str,
-    model: str,
-    tol: float = DEFAULT_MODE_TOL,
-) -> CycleReport:
-    """Build a CycleReport from a mean-energy quartet (see classify_modes)."""
-    check_tags(machine, model)
-    q_c, q_h, w = heats(quartet.hh, quartet.hc, quartet.ch, quartet.cc)
-    modes = classify_modes(q_c, q_h, w, point.tau_h, point.tau_c, tol)
-    return report_from_entries(machine, model, point, q_c, q_h, w, *modes)

@@ -27,11 +27,10 @@ from scipy.special import logsumexp
 from .cycle import heats
 from .units import (
     ConvergenceError,
-    CyclePoint,
     DomainError,
-    MeanEnergyQuartet,
     validate_control,
     validate_temperature,
+    validate_tolerance,
 )
 
 _INITIAL_CUTOFF = 32
@@ -133,8 +132,7 @@ def pendulum_column_averages(
     """
     lam = validate_control(lam, require_nonnegative=True)
     taus = np.array([validate_temperature(tau) for tau in np.ravel(taus).tolist()])
-    if tol <= 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
+    validate_tolerance(tol)
     averages = np.empty((2, len(taus)))
     certified = np.zeros(len(taus), dtype=int)
     open_ = np.arange(len(taus))  # taus not yet certified
@@ -163,14 +161,14 @@ def pendulum_stroke_averages(lam: float, tau: float, tol: float) -> tuple[float,
     return float(e_avg[0]), float(s_avg[0]), int(cutoff[0])
 
 
-def _quartet(lam_h, tau_h, lam_c: float, tau_c: float, tol: float):
-    """(hh, hc, ch, cc) arrays, elementwise over lam_h, tau_h.
+def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float, tol: float = 1e-10):
+    """(Q_c, Q_h, W) of the quantum electric machine, elementwise over lam_h, tau_h.
 
-    Cross entries use <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j; the
-    per-stroke tolerance is tightened by the lambda spread so the assembled
-    quartet entries meet tol.  The hot strokes of each distinct lambda_h,
-    which share that tolerance, are one column call; the cold stroke goes
-    through the cache of pendulum_stroke_averages.
+    The quartet's cross entries use <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j;
+    the per-stroke tolerance is tightened by the lambda spread so the quartet
+    entries meet tol.  The hot strokes of each distinct lambda_h, which share
+    that tolerance, are one column call of pendulum_column_averages; the cold
+    stroke goes through the cache of pendulum_stroke_averages.
     """
     lam_h, tau_h = np.broadcast_arrays(np.asarray(lam_h, dtype=float), np.asarray(tau_h, dtype=float))
     dlam = lam_h - lam_c
@@ -184,22 +182,7 @@ def _quartet(lam_h, tau_h, lam_c: float, tau_c: float, tol: float):
         strokes[:2, cells] = pendulum_column_averages(lam, taus[cells], stroke_tol)[:2]
         strokes[2, cells], strokes[3, cells], _ = pendulum_stroke_averages(lam_c, tau_c, stroke_tol)
     e_h, s_h, e_c, s_c = strokes.reshape((4,) + lam_h.shape)
-    return e_h, e_c + dlam * s_c, e_h - dlam * s_h, e_c
-
-
-def thermal_quartet_electric(point: CyclePoint, tol: float = 1e-10) -> MeanEnergyQuartet:
-    """Mean-energy quartet of the quantum electric machine."""
-    quartet = _quartet(point.lambda_h, point.tau_h, point.lambda_c, point.tau_c, tol)
-    return MeanEnergyQuartet(*map(float, quartet))
-
-
-def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float, tol: float = 1e-10):
-    """(Q_c, Q_h, W) of the quantum electric machine, elementwise over lam_h, tau_h.
-
-    One column call of pendulum_column_averages per distinct lambda_h for the
-    hot strokes; the cold stroke through the cache of pendulum_stroke_averages.
-    """
-    return heats(*_quartet(lam_h, tau_h, lam_c, tau_c, tol))
+    return heats(e_h, e_c + dlam * s_c, e_h - dlam * s_h, e_c)
 
 
 def log_partition_pendulum(lam: float, tau: float, cutoff_m: int) -> float:

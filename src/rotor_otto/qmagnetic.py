@@ -25,7 +25,6 @@ from .units import (
     ConvergenceError,
     CyclePoint,
     DomainError,
-    MeanEnergyQuartet,
     validate_control,
     validate_temperature,
 )
@@ -92,11 +91,6 @@ def momentum_moments(lam, tau: float):
     return mu, nu, log_z, k.size
 
 
-def quantum_partition_magnetic_direct(lam: float, tau: float) -> float:
-    """ln Z from the direct sum over quantized momentum states."""
-    return momentum_stats(lam, tau).log_partition
-
-
 def quantum_partition_magnetic_theta(lam: float, tau: float) -> float:
     """ln Z via Poisson summation: sqrt(2 pi tau) e^(lambda^2/2tau) theta_3."""
     lam = validate_control(lam)
@@ -146,19 +140,6 @@ def epsilon_fourier(lam: float, tau: float, n_max: int | None = None) -> float:
         # tau so small the series converges too slowly; the direct sum is exact.
         return momentum_stats(lam, tau).epsilon
     return total
-
-
-def quantum_quartet_magnetic(point: CyclePoint) -> MeanEnergyQuartet:
-    """Mean-energy quartet of the quantum magnetic machine (absolute energies)."""
-    h = momentum_stats(point.lambda_h, point.tau_h)
-    c = momentum_stats(point.lambda_c, point.tau_c)
-    # <H_i>_j = <L_z^2>_j/2 - lambda_i <L_z>_j  (reduced units)
-    return MeanEnergyQuartet(
-        hh=0.5 * h.second_moment_lz - point.lambda_h * h.mean_lz,
-        hc=0.5 * c.second_moment_lz - point.lambda_h * c.mean_lz,
-        ch=0.5 * h.second_moment_lz - point.lambda_c * h.mean_lz,
-        cc=0.5 * c.second_moment_lz - point.lambda_c * c.mean_lz,
-    )
 
 
 def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):

@@ -52,7 +52,7 @@ def check_theta_vs_direct(rng: np.random.Generator) -> float:
         err = max(
             err,
             abs(
-                qmagnetic.quantum_partition_magnetic_direct(lam, tau)
+                qmagnetic.momentum_stats(lam, tau).log_partition
                 - qmagnetic.quantum_partition_magnetic_theta(lam, tau)
             ),
         )

@@ -23,11 +23,11 @@ from .cycle import (
     MACHINE_ELECTRIC,
     MODEL_CLASSICAL,
     CycleReport,
+    assemble_cycle,
     check_tags,
     classify_modes,
-    report_from_entries,
 )
-from .units import ConvergenceError, CyclePoint, DomainError
+from .units import ConvergenceError, CyclePoint, DomainError, validate_tolerance
 
 SCALE_LINEAR = "linear"
 SCALE_LOG = "log"
@@ -143,7 +143,7 @@ class SweepGrid:
         spec = self.spec
         point = CyclePoint(lam_h, spec.lambda_c, tau_h, spec.tau_c)
         entries = (a[index] for a in (self.q_c, self.q_h, self.w, self.mode, self.efficiency, self.cop))
-        return report_from_entries(spec.machine, spec.model, point, *entries)
+        return assemble_cycle(spec.machine, spec.model, point, *entries)
 
 
 def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c, tol):
@@ -153,11 +153,11 @@ def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c, tol):
     """
     check_tags(machine, model)
     if machine == MACHINE_ELECTRIC and model == MODEL_CLASSICAL:
-        q_c, q_h, w = classical.cycle_heats_electric(lam_h, tau_h, lam_c, tau_c)
+        q_c, q_h, w = classical.classical_cycle_electric(lam_h, tau_h, lam_c, tau_c)
     elif machine == MACHINE_ELECTRIC:
         q_c, q_h, w = qelectric.cycle_heats_electric(lam_h, tau_h, lam_c, tau_c, tol=tol)
     elif model == MODEL_CLASSICAL:
-        q_c, q_h, w = classical.cycle_heats_magnetic(lam_h, tau_h, lam_c, tau_c)
+        q_c, q_h, w = classical.classical_cycle_magnetic(lam_h, tau_h, lam_c, tau_c)
     else:
         q_c, q_h, w = qmagnetic.cycle_heats_magnetic(lam_h, tau_h, lam_c, tau_c)
     return (q_c, q_h, w) + classify_modes(q_c, q_h, w, tau_h, tau_c)
@@ -167,10 +167,11 @@ def evaluate_point(
     machine: str, model: str, point: CyclePoint, tol: float = 1e-10
 ) -> CycleReport:
     """Single-cycle evaluation: the sweep's kernels on one cell."""
+    validate_tolerance(tol)
     entries = _cycle_arrays(
         machine, model, point.lambda_h, point.tau_h, point.lambda_c, point.tau_c, tol
     )
-    return report_from_entries(machine, model, point, *entries)
+    return assemble_cycle(machine, model, point, *entries)
 
 
 def run_sweep(spec: SweepSpec, tol: float = 1e-10) -> SweepGrid:
@@ -179,6 +180,7 @@ def run_sweep(spec: SweepSpec, tol: float = 1e-10) -> SweepGrid:
     A failure is re-raised with the grid coordinates of the first cell, in
     row-major order, that fails on its own.
     """
+    validate_tolerance(tol)
     lams, taus = spec.lambda_axis(), spec.tau_axis()
     lam_h, tau_h = np.meshgrid(lams, taus)
     try:

@@ -28,6 +28,13 @@ def validate_temperature(tau: float) -> float:
     return tau
 
 
+def validate_tolerance(tol: float) -> float:
+    """Check a convergence tolerance (must be finite and > 0)."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
+    return tol
+
+
 def validate_control(lam: float, require_nonnegative: bool = False) -> float:
     """Check a dimensionless control parameter lambda.
 
@@ -77,24 +84,3 @@ class CyclePoint:
     @classmethod
     def from_dict(cls, d: dict) -> "CyclePoint":
         return cls(d["lambda_h"], d["lambda_c"], d["tau_h"], d["tau_c"])
-
-
-@dataclass(frozen=True)
-class MeanEnergyQuartet:
-    """The four equilibrium averages <H_i>_j that determine an ideal cycle.
-
-    Entry ``ij`` is the mean of the Hamiltonian at control value lambda_i in
-    the Gibbs state prepared at (lambda_j, tau_j), with i, j in {h, c}.
-    Units of E.
-    """
-
-    hh: float
-    hc: float
-    ch: float
-    cc: float
-
-    def __post_init__(self) -> None:
-        for name in ("hh", "hc", "ch", "cc"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"quartet entry {name} is not finite: {v}")

@@ -8,7 +8,8 @@ Neither route shares code with ``rotor_otto``:
 - ``dense_quartet_electric`` builds the pendulum Hamiltonian as a dense
   matrix in the momentum basis and takes the traces Tr[rho_j H_i] directly,
   without the H_i = H_j + (lambda_i - lambda_j) S identity or the cutoff
-  doubling of the production path.
+  doubling of the production path; ``dense_heats_electric`` forms the
+  cycle's heats from those traces.
 """
 
 from __future__ import annotations
@@ -99,3 +100,13 @@ def dense_quartet_electric(
         for i in "hc":
             out[i + j] = float(np.sum(rho * ham[i]))
     return out
+
+
+def dense_heats_electric(lam_h: float, lam_c: float, tau_h: float, tau_c: float):
+    """(<H>_h, <H>_c, Q_c, Q_h, W) of the quantum pendulum cycle from dense_quartet_electric.
+
+    <H>_j is the diagonal entry jj; Q_c = cc - ch, Q_h = hh - hc, W = -(Q_c + Q_h).
+    """
+    dense = dense_quartet_electric(lam_h, lam_c, tau_h, tau_c)
+    q_c, q_h = dense["cc"] - dense["ch"], dense["hh"] - dense["hc"]
+    return dense["hh"], dense["cc"], q_c, q_h, -(q_c + q_h)

@@ -9,24 +9,21 @@ import time
 import numpy as np
 import pytest
 
-from rotor_otto.classical import classical_cycle_magnetic
-from rotor_otto.cycle import MODE_ENGINE, MODE_HEATER, MODE_REFRIGERATOR, assemble_cycle
+from rotor_otto.cycle import MODE_ENGINE, MODE_HEATER, MODE_REFRIGERATOR
 from rotor_otto.qelectric import (
     build_pendulum_hamiltonian,
     eigensolve_sym_tridiagonal,
     log_partition_pendulum,
     pendulum_stroke_averages,
-    thermal_quartet_electric,
 )
 from rotor_otto.qmagnetic import (
     epsilon_fourier,
     momentum_stats,
     optimal_work_scan,
-    quantum_partition_magnetic_direct,
     quantum_partition_magnetic_theta,
 )
 from rotor_otto.selftest import dense_pendulum_eigenvalues
-from rotor_otto.sweep import SweepSpec, momentum_curve, run_sweep
+from rotor_otto.sweep import SweepSpec, evaluate_point, momentum_curve, run_sweep
 from rotor_otto.units import CyclePoint
 
 from oracles import magnetic_cycle_mp, momentum_moments_mp
@@ -111,7 +108,7 @@ def test_criterion_1_magnetic_classical_no_go():
         taus = np.sort(rng.uniform(0.01, 10.0, 2))
         lam_h, lam_c = rng.uniform(-3.0, 3.0, 2)
         p = CyclePoint(lam_h, lam_c, taus[1], taus[0])
-        r = assemble_cycle(classical_cycle_magnetic(p), p, "magnetic", "classical")
+        r = evaluate_point("magnetic", "classical", p)
         ok &= abs(r.w - (lam_h - lam_c) ** 2) < 1e-12
         ok &= abs(r.q_c - (-(taus[1] - taus[0]) / 2 - (lam_h - lam_c) ** 2 / 2)) < 1e-12
         ok &= r.mode == "Heater"
@@ -126,7 +123,7 @@ def test_criterion_2_dual_partition_oracle():
     for lam in np.linspace(0.0, 1.0, 50):
         for tau in np.linspace(0.01, 5.0, 50):
             err = abs(
-                quantum_partition_magnetic_direct(float(lam), float(tau))
+                momentum_stats(float(lam), float(tau)).log_partition
                 - quantum_partition_magnetic_theta(float(lam), float(tau))
             )
             max_err = max(max_err, err)
@@ -361,11 +358,11 @@ def test_criterion_7_quantum_electric_correctness():
     gap = spec.eigenvalues[1] - spec.eigenvalues[0]
     ok &= abs(gap - np.sqrt(200.0)) < 0.01 * np.sqrt(200.0)
     # (d) correspondence limit
-    q = thermal_quartet_electric(CyclePoint(1.0, 1.0, 20.0, 20.0))
+    e_avg = pendulum_stroke_averages(1.0, 20.0, 1e-10)[0]
     from rotor_otto.classical import classical_mean_energy_electric
 
     classical_value = classical_mean_energy_electric(1.0, 1.0, 20.0)
-    ok &= abs(q.hh - classical_value) < 0.01 * abs(classical_value)
+    ok &= abs(e_avg - classical_value) < 0.01 * abs(classical_value)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 120.0
     assert verdict(

@@ -3,16 +3,14 @@ import pytest
 
 from rotor_otto.classical import (
     bessel_argument,
-    classical_cycle_electric,
-    classical_cycle_magnetic,
     classical_engine_condition_electric,
     classical_fridge_condition_electric,
     classical_mean_energy_electric,
     classical_mean_energy_magnetic,
 )
-from rotor_otto.cycle import assemble_cycle
 from rotor_otto.selftest import classical_electric_mean_energy_quadrature
 from rotor_otto.specfun import bessel_ratio_i1_i0
+from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint
 
 
@@ -47,8 +45,10 @@ class TestElectricMeanEnergy:
 
     def test_quartet_column_ordering(self):
         # lambda_h >= lambda_c implies hc >= cc (mean energy monotone in lambda_i)
-        q = classical_cycle_electric(CyclePoint(3.0, 1.0, 4.0, 1.0))
-        assert q.hc >= q.cc
+        # at the cycle point (lambda_h, lambda_c, tau_h, tau_c) = (3, 1, 4, 1)
+        hc = classical_mean_energy_electric(3.0, 1.0, 1.0)
+        cc = classical_mean_energy_electric(1.0, 1.0, 1.0)
+        assert hc >= cc
 
 
 class TestMagneticMeanEnergy:
@@ -81,7 +81,7 @@ class TestElectricCycle:
         for _ in range(50):
             taus = np.sort(rng.uniform(0.05, 8.0, 2))
             p = CyclePoint(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0), taus[1], taus[0])
-            report = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+            report = evaluate_point("electric", "classical", p)
             q_c, q_h, w = self.closed_forms(p)
             assert report.q_c == pytest.approx(q_c, abs=1e-12)
             assert report.q_h == pytest.approx(q_h, abs=1e-12)
@@ -89,18 +89,18 @@ class TestElectricCycle:
 
     def test_equal_lambdas_no_work(self):
         p = CyclePoint(2.0, 2.0, 3.0, 1.0)
-        report = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+        report = evaluate_point("electric", "classical", p)
         assert report.w == pytest.approx(0.0, abs=1e-14)
 
     def test_equal_temperatures_no_work_output(self):
         # at tau_h = tau_c the ratio monotonicity forbids W < 0
         p = CyclePoint(5.0, 1.0, 2.0, 2.0)
-        report = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+        report = evaluate_point("electric", "classical", p)
         assert report.w >= 0.0
 
     def test_paper_engine_instance(self):
         p = CyclePoint(3.0, 1.0, 4.0, 1.0)
-        report = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+        report = evaluate_point("electric", "classical", p)
         assert report.mode == "Engine"
         assert report.w < 0.0
 
@@ -109,7 +109,7 @@ class TestElectricCycle:
         for _ in range(100):
             taus = np.sort(rng.uniform(0.05, 8.0, 2))
             p = CyclePoint(rng.uniform(0, 10), rng.uniform(0, 10), taus[1], taus[0])
-            r = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+            r = evaluate_point("electric", "classical", p)
             assert abs(r.q_c + r.q_h + r.w) < 1e-12
 
 
@@ -125,7 +125,7 @@ class TestEngineCondition:
         while checked < 1000:
             taus = np.sort(rng.uniform(0.05, 8.0, 2))
             p = CyclePoint(rng.uniform(0.01, 10), rng.uniform(0.01, 10), taus[1], taus[0])
-            r = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+            r = evaluate_point("electric", "classical", p)
             if abs(r.w) < 1e-9:
                 continue
             assert (r.w < 0) == classical_engine_condition_electric(p)
@@ -146,7 +146,7 @@ class TestFridgeCondition:
         while checked < 500:
             taus = np.sort(rng.uniform(0.05, 8.0, 2))
             p = CyclePoint(rng.uniform(0.01, 15), rng.uniform(0.01, 15), taus[1], taus[0])
-            r = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+            r = evaluate_point("electric", "classical", p)
             if abs(r.q_c) < 1e-9:
                 continue
             assert (r.q_c > 0) == classical_fridge_condition_electric(p)
@@ -155,15 +155,20 @@ class TestFridgeCondition:
 
 class TestMagneticNoGo:
     def test_closed_forms(self):
-        p = CyclePoint(0.2, 0.485, 1.0, 0.5)
-        r = assemble_cycle(classical_cycle_magnetic(p), p, "magnetic", "classical")
-        assert r.w == pytest.approx((0.2 - 0.485) ** 2, abs=1e-12)
-        assert r.q_c == pytest.approx(-(1.0 - 0.5) / 2 - (0.2 - 0.485) ** 2 / 2, abs=1e-12)
-        assert r.mode == "Heater"
+        # The second point's quartet entries are of order lambda^2/2 = 5e15:
+        # the heats must not be formed from their differences.
+        for p in (CyclePoint(0.2, 0.485, 1.0, 0.5), CyclePoint(1e8 + 0.25, 1e8 + 0.485, 1.0, 1e-3)):
+            r = evaluate_point("magnetic", "classical", p)
+            d = p.lambda_h - p.lambda_c
+            dtau = p.tau_h - p.tau_c
+            assert r.w == pytest.approx(d**2, abs=1e-12)
+            assert r.q_c == pytest.approx(-dtau / 2 - d**2 / 2, abs=1e-12)
+            assert r.q_h == pytest.approx(dtau / 2 - d**2 / 2, abs=1e-12)
+            assert r.mode == "Heater"
 
     def test_degenerate_cycle(self):
         p = CyclePoint(0.3, 0.3, 1.0, 1.0)
-        r = assemble_cycle(classical_cycle_magnetic(p), p, "magnetic", "classical")
+        r = evaluate_point("magnetic", "classical", p)
         assert r.w == pytest.approx(0.0, abs=1e-14)
         assert r.q_c == pytest.approx(0.0, abs=1e-14)
 
@@ -173,7 +178,7 @@ class TestMagneticNoGo:
             taus = np.sort(rng.uniform(0.01, 10.0, 2))
             lam_h, lam_c = rng.uniform(-3, 3, 2)
             p = CyclePoint(lam_h, lam_c, taus[1], taus[0])
-            r = assemble_cycle(classical_cycle_magnetic(p), p, "magnetic", "classical")
+            r = evaluate_point("magnetic", "classical", p)
             assert r.w >= -1e-12
             assert r.q_c <= 1e-12
             assert abs(r.q_c + r.q_h + r.w) < 1e-12

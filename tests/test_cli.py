@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rotor_otto import cli, sweep
+from rotor_otto import cli, qelectric, sweep
 from rotor_otto.sweep import SweepSpec, run_sweep, write_csv
 
 
@@ -64,19 +64,74 @@ class TestCycleCommand:
         assert "error" in err
 
 
-class TestSweepCommand:
-    def sweep_args(self, out_path, fmt="csv"):
-        return [
-            "sweep", "--machine", "electric", "--model", "classical",
-            "--lambda-h-min", "1", "--lambda-h-max", "4", "--lambda-h-count", "5",
-            "--tau-h-min", "1", "--tau-h-max", "3", "--tau-h-count", "4",
-            "--lambda-c", "1", "--tau-c", "1",
-            "--out", str(out_path), "--format", fmt,
-        ]
+def sweep_args(out_path, fmt="csv", model="classical"):
+    return [
+        "sweep", "--machine", "electric", "--model", model,
+        "--lambda-h-min", "1", "--lambda-h-max", "4", "--lambda-h-count", "5",
+        "--tau-h-min", "1", "--tau-h-max", "3", "--tau-h-count", "4",
+        "--lambda-c", "1", "--tau-c", "1",
+        "--out", str(out_path), "--format", fmt,
+    ]
 
+
+BAD_TOLS = ["nan", "inf", "0", "-1"]
+
+QUANTUM_ELECTRIC_CYCLE = [
+    "cycle", "--machine", "electric", "--model", "quantum",
+    "--lambda-h", "3", "--lambda-c", "1", "--tau-h", "4", "--tau-c", "1",
+]
+
+
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    """Fail the test at once if any pendulum spectrum is computed."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("eigensolve reached with an invalid tol")
+
+    monkeypatch.setattr(qelectric, "eigensolve_sym_tridiagonal", refuse)
+
+
+class TestInvalidTolerance:
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_cycle_exits_2(self, tol, no_eigensolve, capsys):
+        code, out, err = run_cli(QUANTUM_ELECTRIC_CYCLE + ["--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: tol must be finite and > 0, got {float(tol)}" in err
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_sweep_exits_2(self, tol, no_eigensolve, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(sweep_args(out, model="quantum") + ["--tol", tol], capsys)
+        assert code == 2
+        assert f"error: tol must be finite and > 0, got {float(tol)}" in err
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    def test_sweep_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(sweep_args(out), capsys)
+        assert code == 2
+        assert err.splitlines()[-1].startswith(f"error: failed writing CSV to {out}")
+
+    def test_momentum_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "m.csv"
+        code, stdout, err = run_cli(
+            ["momentum", "--lambda-min", "0", "--lambda-max", "1", "--tau", "0.5",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+
+
+class TestSweepCommand:
     def test_writes_csv_matching_library(self, tmp_path, capsys):
         cli_out = tmp_path / "cli.csv"
-        code, _, err = run_cli(self.sweep_args(cli_out), capsys)
+        code, _, err = run_cli(sweep_args(cli_out), capsys)
         assert code == 0
         assert "100%" in err
         lib_out = tmp_path / "lib.csv"
@@ -93,13 +148,13 @@ class TestSweepCommand:
 
     def test_writes_json(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
-        code, _, _ = run_cli(self.sweep_args(out, fmt="json"), capsys)
+        code, _, _ = run_cli(sweep_args(out, fmt="json"), capsys)
         assert code == 0
         grid = sweep.read_json(out)
         assert len(grid.cells) == 20
 
     def test_zero_count_axis_exits_2(self, tmp_path, capsys):
-        args = self.sweep_args(tmp_path / "x.csv")
+        args = sweep_args(tmp_path / "x.csv")
         args[args.index("--lambda-h-count") + 1] = "0"
         code, _, _ = run_cli(args, capsys)
         assert code == 2

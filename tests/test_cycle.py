@@ -2,19 +2,27 @@ import json
 
 import pytest
 
-from rotor_otto.classical import classical_cycle_electric, classical_cycle_magnetic
+from rotor_otto.classical import classical_mean_energy_electric
 from rotor_otto.cycle import (
     CycleReport,
     assemble_cycle,
     carnot_bound,
+    classify_modes,
+    heats,
 )
-from rotor_otto.units import CyclePoint, DomainError, MeanEnergyQuartet
+from rotor_otto.sweep import evaluate_point
+from rotor_otto.units import CyclePoint, DomainError
+
+
+def _classify(q_c, q_h, w, p):
+    """CycleReport of synthetic heats, through classify_modes and assemble_cycle."""
+    modes = classify_modes(q_c, q_h, w, p.tau_h, p.tau_c)
+    return assemble_cycle("electric", "classical", p, q_c, q_h, w, *modes)
 
 
 def test_trivial_quartet_is_heater():
     p = CyclePoint(1.0, 1.0, 2.0, 1.0)
-    q = MeanEnergyQuartet(hh=1.0, hc=1.0, ch=0.5, cc=0.5)
-    r = assemble_cycle(q, p, "electric", "classical")
+    r = _classify(*heats(hh=1.0, hc=1.0, ch=0.5, cc=0.5), p)
     assert r.mode == "Heater"
     assert r.w == 0.0
     assert r.efficiency is None and r.cop is None
@@ -22,7 +30,7 @@ def test_trivial_quartet_is_heater():
 
 def test_magnetic_heater_example():
     p = CyclePoint(0.2, 0.485, 1.0, 0.5)
-    r = assemble_cycle(classical_cycle_magnetic(p), p, "magnetic", "classical")
+    r = evaluate_point("magnetic", "classical", p)
     assert r.mode == "Heater"
     assert r.w == pytest.approx(0.081225, abs=1e-12)
     assert r.q_c < 0.0
@@ -30,7 +38,7 @@ def test_magnetic_heater_example():
 
 def test_electric_engine_example():
     p = CyclePoint(3.0, 1.0, 4.0, 1.0)
-    r = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+    r = evaluate_point("electric", "classical", p)
     assert r.mode == "Engine"
     assert 0.0 < r.efficiency <= 0.75
 
@@ -48,7 +56,7 @@ def test_engine_efficiency_below_carnot_on_random_points():
     while engines < 50:
         taus = np.sort(rng.uniform(0.1, 8.0, 2))
         p = CyclePoint(rng.uniform(0, 8), rng.uniform(0.1, 8), taus[1], taus[0])
-        r = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+        r = evaluate_point("electric", "classical", p)
         if r.mode == "Engine":
             assert r.efficiency <= carnot_bound(p) + 1e-9
             engines += 1
@@ -57,38 +65,39 @@ def test_engine_efficiency_below_carnot_on_random_points():
 def test_column_shift_gauge():
     # adding c to both hh and hc leaves Q_h unchanged; same for the cold column
     p = CyclePoint(2.0, 1.0, 3.0, 1.0)
-    q = classical_cycle_electric(p)
-    shifted = MeanEnergyQuartet(q.hh + 5.0, q.hc + 5.0, q.ch - 2.0, q.cc - 2.0)
-    r = assemble_cycle(q, p, "electric", "classical")
-    r2 = assemble_cycle(shifted, p, "electric", "classical")
-    assert r2.q_h == pytest.approx(r.q_h, abs=1e-12)
-    assert r2.q_c == pytest.approx(r.q_c, abs=1e-12)
+    q = [classical_mean_energy_electric(i, j, tau) for i, j, tau in
+         [(2.0, 2.0, 3.0), (2.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)]]
+    q_c, q_h, _ = heats(*q)
+    shifted_q_c, shifted_q_h, _ = heats(q[0] + 5.0, q[1] + 5.0, q[2] - 2.0, q[3] - 2.0)
+    assert shifted_q_h == pytest.approx(q_h, abs=1e-12)
+    assert shifted_q_c == pytest.approx(q_c, abs=1e-12)
+    r = evaluate_point("electric", "classical", p)
+    assert (r.q_c, r.q_h) == (q_c, q_h)
 
 
 def test_second_law_violation_rejected():
     p = CyclePoint(1.0, 1.0, 2.0, 1.0)
-    bogus = MeanEnergyQuartet(hh=0.0, hc=0.5, ch=0.0, cc=1.0)  # W < 0 and Q_c > 0
+    bogus = heats(hh=0.0, hc=0.5, ch=0.0, cc=1.0)  # W < 0 and Q_c > 0
     with pytest.raises(DomainError):
-        assemble_cycle(bogus, p, "electric", "classical")
+        classify_modes(*bogus, p.tau_h, p.tau_c)
 
 
 def test_nan_quartet_rejected():
     with pytest.raises(DomainError):
-        MeanEnergyQuartet(hh=float("nan"), hc=0.0, ch=0.0, cc=0.0)
+        classify_modes(*heats(hh=float("nan"), hc=0.0, ch=0.0, cc=0.0), 2.0, 1.0)
 
 
 def test_unknown_tags_rejected():
     p = CyclePoint(1.0, 1.0, 2.0, 1.0)
-    q = MeanEnergyQuartet(1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        assemble_cycle(q, p, "steam", "classical")
+        evaluate_point("steam", "classical", p)
     with pytest.raises(DomainError):
-        assemble_cycle(q, p, "electric", "semiclassical")
+        evaluate_point("electric", "semiclassical", p)
 
 
 def test_json_schema_round_trip():
     p = CyclePoint(3.0, 1.0, 4.0, 1.0)
-    r = assemble_cycle(classical_cycle_electric(p), p, "electric", "classical")
+    r = evaluate_point("electric", "classical", p)
     d = json.loads(json.dumps(r.to_json_dict()))
     assert set(d) == {
         "q_c", "q_h", "w", "mode", "efficiency", "cop",
@@ -99,6 +108,5 @@ def test_json_schema_round_trip():
 
 def test_mode_tolerance_band():
     p = CyclePoint(1.0, 1.0, 2.0, 1.0)
-    q = MeanEnergyQuartet(hh=0.0, hc=1e-14, ch=0.0, cc=0.0)
-    r = assemble_cycle(q, p, "electric", "classical")
+    r = _classify(*heats(hh=0.0, hc=1e-14, ch=0.0, cc=0.0), p)
     assert r.mode == "Heater"

@@ -11,17 +11,21 @@ import math
 import numpy as np
 import pytest
 
-from rotor_otto.classical import classical_cycle_electric
-from rotor_otto.cycle import assemble_cycle
-from rotor_otto.qelectric import thermal_quartet_electric
-from rotor_otto.qmagnetic import momentum_stats, quantum_quartet_magnetic
+from rotor_otto.qelectric import pendulum_stroke_averages
+from rotor_otto.qmagnetic import momentum_stats
+from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint
 
-from oracles import dense_quartet_electric, magnetic_cycle_mp, momentum_moments_mp
+from oracles import (
+    dense_heats_electric,
+    dense_quartet_electric,
+    magnetic_cycle_mp,
+    momentum_moments_mp,
+)
 
 
 def _quantum_magnetic(point):
-    return assemble_cycle(quantum_quartet_magnetic(point), point, "magnetic", "quantum")
+    return evaluate_point("magnetic", "quantum", point)
 
 
 def test_momentum_oracle_doublet_closed_form():
@@ -92,15 +96,19 @@ def test_dense_quartet_matches_program(tau_c, i, j, quantity):
     point = CyclePoint(
         np.linspace(1.0, 20.0, 40)[i], 1.0, np.linspace(1.0, 10.0, 40)[j], tau_c
     )
-    dense = dense_quartet_electric(point.lambda_h, point.lambda_c, point.tau_h, point.tau_c)
-    quartet = thermal_quartet_electric(point)
-    for key, value in dense.items():
-        assert abs(getattr(quartet, key) - value) < 1e-12, key
+    # The stroke averages at the tolerance the kernel asks of them, and the heats.
+    stroke_tol = 1e-10 / (1.0 + abs(point.lambda_h - point.lambda_c))
+    e_h = pendulum_stroke_averages(point.lambda_h, point.tau_h, stroke_tol)[0]
+    e_c = pendulum_stroke_averages(point.lambda_c, point.tau_c, stroke_tol)[0]
+    r = evaluate_point("electric", "quantum", point)
+    dense = dense_heats_electric(point.lambda_h, point.lambda_c, point.tau_h, point.tau_c)
+    names = ("<H>_h", "<H>_c", "q_c", "q_h", "w")
+    for name, got, value in zip(names, (e_h, e_c, r.q_c, r.q_h, r.w), dense):
+        assert abs(got - value) < 1e-12, name
     # The raw signed inequality really fails here: the quantum value taken
     # from the oracle alone is the larger one.
-    q_c = dense["cc"] - dense["ch"]
-    w = -(q_c + dense["hh"] - dense["hc"])
-    classical = assemble_cycle(classical_cycle_electric(point), point, "electric", "classical")
+    _, _, q_c, _, w = dense
+    classical = evaluate_point("electric", "classical", point)
     if quantity == "w":
         assert -w > -classical.w + 1e-9
     else:

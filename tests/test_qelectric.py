@@ -5,7 +5,6 @@ import pytest
 
 from rotor_otto import qelectric
 from rotor_otto.classical import classical_mean_energy_electric
-from rotor_otto.cycle import assemble_cycle
 from rotor_otto.qelectric import (
     TridiagonalHamiltonian,
     build_pendulum_hamiltonian,
@@ -13,13 +12,12 @@ from rotor_otto.qelectric import (
     log_partition_pendulum,
     pendulum_column_averages,
     pendulum_stroke_averages,
-    thermal_quartet_electric,
 )
 from rotor_otto.selftest import dense_pendulum_eigenvalues
-from rotor_otto.sweep import SweepSpec, run_sweep
+from rotor_otto.sweep import SweepSpec, evaluate_point, run_sweep
 from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
 
-from oracles import dense_quartet_electric
+from oracles import dense_heats_electric
 
 
 class TestHamiltonianBuilder:
@@ -145,10 +143,14 @@ class TestStrokeAverages:
         # M = 32 and 64; the doubling must stop there, not run on noise.
         p = CyclePoint(861.8547639571464, 0.011012854772924286, 12.348369624337156, 1.8480060611326552)
         stroke_tol = 1e-10 / (1.0 + abs(p.lambda_h - p.lambda_c))
-        assert pendulum_stroke_averages(p.lambda_h, p.tau_h, stroke_tol)[2] == 64
-        quartet = thermal_quartet_electric(p)
-        for key, value in dense_quartet_electric(p.lambda_h, p.lambda_c, p.tau_h, p.tau_c).items():
-            assert abs(getattr(quartet, key) - value) < 1e-10, key
+        e_h, _, cutoff = pendulum_stroke_averages(p.lambda_h, p.tau_h, stroke_tol)
+        assert cutoff == 64
+        e_c = pendulum_stroke_averages(p.lambda_c, p.tau_c, stroke_tol)[0]
+        r = evaluate_point("electric", "quantum", p)
+        dense = dense_heats_electric(p.lambda_h, p.lambda_c, p.tau_h, p.tau_c)
+        names = ("<H>_h", "<H>_c", "q_c", "q_h", "w")
+        for name, got, value in zip(names, (e_h, e_c, r.q_c, r.q_h, r.w), dense):
+            assert abs(got - value) < 1e-10, name
 
 
 def _per_tau_reference(lam, tau, tol):
@@ -238,32 +240,24 @@ class TestColumnAverages:
 class TestThermalQuartet:
     def test_degenerate_cycle(self):
         p = CyclePoint(1.0, 1.0, 2.0, 2.0)
-        q = thermal_quartet_electric(p)
-        assert q.hh == pytest.approx(q.cc, abs=1e-12)
-        assert q.hc == pytest.approx(q.ch, abs=1e-12)
-        r = assemble_cycle(q, p, "electric", "quantum")
+        r = evaluate_point("electric", "quantum", p)
         assert r.w == pytest.approx(0.0, abs=1e-12)
         assert r.q_c == pytest.approx(0.0, abs=1e-12)
+        assert r.q_h == pytest.approx(0.0, abs=1e-12)
 
     def test_correspondence_limit(self):
-        q = thermal_quartet_electric(CyclePoint(1.0, 1.0, 10.0, 10.0))
+        e_avg = pendulum_stroke_averages(1.0, 10.0, 1e-10)[0]
         classical = classical_mean_energy_electric(1.0, 1.0, 10.0)
-        assert q.hh == pytest.approx(classical, rel=0.02)
+        assert e_avg == pytest.approx(classical, rel=0.02)
 
     def test_first_law(self):
         p = CyclePoint(3.0, 1.0, 4.0, 1.0)
-        r = assemble_cycle(thermal_quartet_electric(p), p, "electric", "quantum")
+        r = evaluate_point("electric", "quantum", p)
         assert abs(r.q_c + r.q_h + r.w) < 1e-10
 
     def test_quantum_engine_below_classical(self):
         # one cell of the systematic-disadvantage comparison
         p = CyclePoint(3.0, 1.0, 4.0, 1.0)
-        from rotor_otto.classical import classical_cycle_electric
-
-        w_quantum = assemble_cycle(
-            thermal_quartet_electric(p), p, "electric", "quantum"
-        ).w
-        w_classical = assemble_cycle(
-            classical_cycle_electric(p), p, "electric", "classical"
-        ).w
+        w_quantum = evaluate_point("electric", "quantum", p).w
+        w_classical = evaluate_point("electric", "classical", p).w
         assert -w_quantum <= -w_classical + 1e-9

@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rotor_otto.cycle import assemble_cycle
 from rotor_otto.qmagnetic import (
     epsilon_fourier,
     momentum_stats,
     optimal_work_scan,
-    quantum_partition_magnetic_direct,
     quantum_partition_magnetic_theta,
-    quantum_quartet_magnetic,
 )
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint, DomainError
@@ -20,20 +17,20 @@ from oracles import magnetic_cycle_mp, momentum_moments_mp
 
 class TestPartitionFunctions:
     def test_low_temperature_single_ground_state(self):
-        assert quantum_partition_magnetic_direct(0.0, 0.005) == pytest.approx(
+        assert momentum_stats(0.0, 0.005).log_partition == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_half_integer_doublet_degeneracy(self):
         # at lambda = 1/2 the states m = 0, 1 are degenerate minima
         tau = 0.01
-        log_z = quantum_partition_magnetic_direct(0.5, tau)
+        log_z = momentum_stats(0.5, tau).log_partition
         # E_0 = 0 for both minima in the m(m - 2 lambda)/2 convention
         assert log_z == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_dual_evaluation_cross_oracle(self):
         for lam, tau in [(0.3, 1.0), (0.3, 0.05), (0.0, 0.5), (0.9, 3.0)]:
-            direct = quantum_partition_magnetic_direct(lam, tau)
+            direct = momentum_stats(lam, tau).log_partition
             theta = quantum_partition_magnetic_theta(lam, tau)
             assert abs(direct - theta) < 1e-12
 
@@ -48,8 +45,8 @@ class TestPartitionFunctions:
     def test_integer_relabeling_shift(self):
         lam, tau = 0.3, 0.7
         shift = ((lam + 1) ** 2 - lam**2) / (2 * tau)
-        assert quantum_partition_magnetic_direct(lam + 1, tau) == pytest.approx(
-            quantum_partition_magnetic_direct(lam, tau) + shift, abs=1e-12
+        assert momentum_stats(lam + 1, tau).log_partition == pytest.approx(
+            momentum_stats(lam, tau).log_partition + shift, abs=1e-12
         )
 
 
@@ -121,6 +118,8 @@ class TestLargeLambda:
             CyclePoint(1e4 + 0.37, 1e4 + 0.81, 0.5, 0.02),
             CyclePoint(1e4 + 0.9, 1e4 + 0.2, 0.3, 0.1),
             CyclePoint(-1e4 - 0.25, -1e4 + 0.45, 1.0, 0.01),
+            # The quickstart cycle of README.md moved up by 1e6.
+            CyclePoint(1e6 + 0.25, 1e6 + 0.485, 1.0, 0.001),
         ],
     )
     def test_cycle_matches_oracle(self, point):
@@ -156,7 +155,7 @@ class TestEpsilonFourier:
 class TestQuantumQuartet:
     def test_degenerate_cycle(self):
         p = CyclePoint(0.3, 0.3, 1.0, 1.0)
-        r = assemble_cycle(quantum_quartet_magnetic(p), p, "magnetic", "quantum")
+        r = evaluate_point("magnetic", "quantum", p)
         assert r.q_c == pytest.approx(0.0, abs=1e-12)
         assert r.w == pytest.approx(0.0, abs=1e-12)
 
@@ -165,12 +164,12 @@ class TestQuantumQuartet:
         for _ in range(30):
             taus = np.sort(rng.uniform(2.0, 8.0, 2))
             p = CyclePoint(rng.uniform(0, 1), rng.uniform(0, 1), taus[1], taus[0])
-            r = assemble_cycle(quantum_quartet_magnetic(p), p, "magnetic", "quantum")
+            r = evaluate_point("magnetic", "quantum", p)
             assert r.w >= -1e-6
 
     def test_ideal_regime_work_approximation(self):
         p = CyclePoint(0.25, 0.485, 1.0, 0.001)
-        r = assemble_cycle(quantum_quartet_magnetic(p), p, "magnetic", "quantum")
+        r = evaluate_point("magnetic", "quantum", p)
         approx = -(p.lambda_c - p.lambda_h) * p.lambda_h
         assert r.mode == "Engine"
         assert r.w == pytest.approx(approx, rel=0.05)
@@ -182,7 +181,7 @@ class TestQuantumQuartet:
             lam_h = rng.uniform(0.0, 0.45)
             lam_c = rng.uniform(lam_h + 0.02, 0.5)
             p = CyclePoint(lam_h, lam_c, taus[1], taus[0])
-            r = assemble_cycle(quantum_quartet_magnetic(p), p, "magnetic", "quantum")
+            r = evaluate_point("magnetic", "quantum", p)
             eps_h = momentum_stats(lam_h, taus[1]).epsilon
             eps_c = momentum_stats(lam_c, taus[0]).epsilon
             dlam = lam_c - lam_h
@@ -191,7 +190,7 @@ class TestQuantumQuartet:
 
     def test_first_law(self):
         p = CyclePoint(0.25, 0.485, 1.0, 0.001)
-        r = assemble_cycle(quantum_quartet_magnetic(p), p, "magnetic", "quantum")
+        r = evaluate_point("magnetic", "quantum", p)
         assert abs(r.q_c + r.q_h + r.w) < 1e-12
 
 
@@ -218,12 +217,8 @@ class TestOptimalWorkScan:
         lam_c = 0.52
         upper = CyclePoint((1 + lam_c) / 2, lam_c, tau_h, tau_c)
         mirrored = CyclePoint(1 - (1 + lam_c) / 2, 1 - lam_c, tau_h, tau_c)
-        w_upper = assemble_cycle(
-            quantum_quartet_magnetic(upper), upper, "magnetic", "quantum"
-        ).w
-        w_mirror = assemble_cycle(
-            quantum_quartet_magnetic(mirrored), mirrored, "magnetic", "quantum"
-        ).w
+        w_upper = evaluate_point("magnetic", "quantum", upper).w
+        w_mirror = evaluate_point("magnetic", "quantum", mirrored).w
         assert w_upper == pytest.approx(w_mirror, abs=1e-8)
 
     def test_empty_grid_rejected(self):

@@ -1,0 +1,27 @@
+"""The python blocks of README.md run as written and print what their comments say."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_block_runs(index, tmp_path, monkeypatch, capsys):
+    # Files the block writes land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    block = BLOCKS[index]
+    exec(compile(block, f"README.md python block {index}", "exec"), {})
+    # `print(...)  # text...`: the printed line starts with text.
+    expected = re.findall(r"^print\(.*\)\s+# (.*?)(?:\.\.\.)?\s*$", block, flags=re.M)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(expected)
+    for line, want in zip(printed, expected):
+        assert line.startswith(want), (line, want)

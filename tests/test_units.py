@@ -2,11 +2,7 @@ import json
 
 import pytest
 
-from rotor_otto.units import (
-    CyclePoint,
-    DomainError,
-    MeanEnergyQuartet,
-)
+from rotor_otto.units import CyclePoint, DomainError
 
 
 def test_degenerate_point_is_valid():
@@ -39,14 +35,3 @@ def test_serialization_round_trip_bit_exact():
     p = CyclePoint(0.1 + 0.2, 1.0 / 3.0, 4.0, 1e-300)
     restored = CyclePoint.from_dict(json.loads(json.dumps(p.to_dict())))
     assert restored == p
-
-
-def test_quartet_rejects_nonfinite():
-    with pytest.raises(DomainError):
-        MeanEnergyQuartet(hh=1.0, hc=float("nan"), ch=0.0, cc=0.0)
-
-
-def test_quartet_is_immutable():
-    q = MeanEnergyQuartet(1.0, 2.0, 3.0, 4.0)
-    with pytest.raises(AttributeError):
-        q.hh = 5.0
