@@ -29,16 +29,16 @@ def bessel_argument(lam: float, tau: float) -> float:
     return validate_control(lam, require_nonnegative=True) / (2.0 * validate_temperature(tau))
 
 
-def _mean_energy_electric(lam_i, lam_j, tau_j):
-    # Elementwise over arrays; lambda >= 0 is checked here, tau by the caller.
-    validate_control(np.min(lam_i), require_nonnegative=True)
-    return 0.5 * tau_j + 0.5 * lam_i * (1.0 - bessel_ratio_i1_i0(lam_j / (2.0 * tau_j)))
+def _mean_energy_electric(lam_i, ratio_j, tau_j):
+    # <H_i>_j from stroke j's ratio I1/I0(x_j), broadcast over arrays.
+    return 0.5 * tau_j + 0.5 * lam_i * (1.0 - ratio_j)
 
 
 def classical_mean_energy_electric(lam_i: float, lam_j: float, tau_j: float) -> float:
     """<H_i>_j of the classical electric machine, in units of E."""
-    bessel_argument(lam_j, tau_j)
-    return float(_mean_energy_electric(lam_i, lam_j, tau_j))
+    lam_i = validate_control(lam_i, require_nonnegative=True)
+    ratio = bessel_ratio_i1_i0(bessel_argument(lam_j, tau_j))
+    return float(_mean_energy_electric(lam_i, ratio, tau_j))
 
 
 def classical_mean_energy_magnetic(lam_i: float, lam_j: float, tau_j: float) -> float:
@@ -50,25 +50,26 @@ def classical_mean_energy_magnetic(lam_i: float, lam_j: float, tau_j: float) -> 
 
 
 def classical_cycle_electric(lam_h, tau_h, lam_c: float, tau_c: float):
-    """(Q_c, Q_h, W) of the classical electric machine, elementwise over lam_h, tau_h.
+    """(Q_c, Q_h, W) of the classical electric machine on the lam_h x tau_h grid.
 
-    The coordinates must be valid cycle points (see CyclePoint); negative
-    lambda raises DomainError.
+    The kernel contract of cycle.py; negative lambda raises DomainError.  One
+    Bessel ratio per stroke serves both of its quartet entries.
     """
-    m = _mean_energy_electric
-    return heats(m(lam_h, lam_h, tau_h), m(lam_h, lam_c, tau_c), m(lam_c, lam_h, tau_h),
-                 m(lam_c, lam_c, tau_c))
+    validate_control(min(lam_h.min(), lam_c), require_nonnegative=True)
+    m, lam, tau = _mean_energy_electric, lam_h[None, :], tau_h[:, None]
+    r_h, r_c = bessel_ratio_i1_i0(lam / (2.0 * tau)), bessel_ratio_i1_i0(lam_c / (2.0 * tau_c))
+    return heats(m(lam, r_h, tau), m(lam_h, r_c, tau_c), m(lam_c, r_h, tau), m(lam_c, r_c, tau_c))
 
 
 def classical_cycle_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
-    """(Q_c, Q_h, W) of the classical magnetic machine, elementwise over lam_h, tau_h.
+    """(Q_c, Q_h, W) of the classical magnetic machine on the lam_h x tau_h grid.
 
-    lam_h and tau_h are scalars or arrays of one shape.  The no-go closed form
-    of the module docstring: no lambda^2 term is formed, so the heats keep
-    full precision at any |lambda|.
+    The kernel contract of cycle.py.  The no-go closed form of the module
+    docstring: no lambda^2 term is formed, so the heats keep full precision
+    at any |lambda|.
     """
-    d2 = (lam_h - lam_c) ** 2
-    return 0.5 * (tau_c - tau_h) - 0.5 * d2, 0.5 * (tau_h - tau_c) - 0.5 * d2, d2
+    d2 = (lam_h - lam_c) ** 2 + np.zeros((len(tau_h), 1))  # one W row per tau_h
+    return 0.5 * (tau_c - tau_h)[:, None] - 0.5 * d2, 0.5 * (tau_h - tau_c)[:, None] - 0.5 * d2, d2
 
 
 def classical_engine_condition_electric(point: CyclePoint) -> bool:

@@ -1,10 +1,12 @@
 """Cycle reports: mode classification, efficiency, COP.
 
-Each machine/model kernel returns the heats and work of the cycle,
+Each machine/model kernel takes a sweep's two axes and its cold stroke,
+    kernel(lam_h[n_lam], tau_h[n_tau], lam_c, tau_c) -> (Q_c, Q_h, W),
     Q_c = <H_c>_c - <H_c>_h,   Q_h = <H_h>_h - <H_h>_c,   W = -(Q_c + Q_h),
-as arrays over the hot-stroke coordinates, in a form whose terms do not grow
-as lambda^2 (the magnetic kernels cancel them algebraically).  Here they are
-classified, elementwise:
+each of shape (n_tau, n_lam), entry [i_tau, i_lam] at (lam_h[i_lam],
+tau_h[i_tau]); one cycle is the 1x1 case.  Every cell must be a valid cycle
+point (see CyclePoint); no term grows as lambda^2 (the magnetic kernels cancel
+them algebraically).  Here the results are classified, elementwise:
 Engine:       W < -tol          (net work output), efficiency |W|/Q_h
 Refrigerator: Q_c > tol, W >= -tol, COP Q_c/W
 Heater:       anything else (the paper treats strict inequalities only, so

@@ -9,10 +9,11 @@ operator identity H(lambda_i) = H(lambda_j) + (lambda_i - lambda_j) S with
 S = sin^2(alpha/2), so each stroke needs only the spectrum of its own H.
 
 The spectrum does not depend on tau: a sweep diagonalizes H(lambda) once per
-distinct lambda and per basis cutoff M, and forms the averages of every tau
-of that column from it.  M is doubled from 32 until the averages are
-stationary; each tau carries its own doubling certificate, so convergence is
-certified a posteriori per tau, not assumed.
+lambda_h column and per basis cutoff M, and forms the averages of every tau_h
+of that column from it; the cold stroke is solved once per sweep.  M is
+doubled from 32 until the averages are stationary; each tau carries its own
+doubling certificate, so convergence is certified a posteriori per tau, not
+assumed.
 """
 
 from __future__ import annotations
@@ -162,26 +163,19 @@ def pendulum_stroke_averages(lam: float, tau: float, tol: float) -> tuple[float,
 
 
 def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float, tol: float = 1e-10):
-    """(Q_c, Q_h, W) of the quantum electric machine, elementwise over lam_h, tau_h.
+    """(Q_c, Q_h, W) of the quantum electric machine on the lam_h x tau_h grid.
 
-    The quartet's cross entries use <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j;
-    the per-stroke tolerance is tightened by the lambda spread so the quartet
-    entries meet tol.  The hot strokes of each distinct lambda_h, which share
-    that tolerance, are one column call of pendulum_column_averages; the cold
-    stroke goes through the cache of pendulum_stroke_averages.
+    The kernel contract of cycle.py.  The quartet's cross entries use
+    <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j, so a column's strokes
+    take tol / (1 + |lambda_h - lambda_c|) and its entries meet tol.  Each
+    lambda_h column is one pendulum_column_averages call over the tau_h axis;
+    the cold stroke is one pendulum_stroke_averages call at the tightest
+    column tolerance.
     """
-    lam_h, tau_h = np.broadcast_arrays(np.asarray(lam_h, dtype=float), np.asarray(tau_h, dtype=float))
     dlam = lam_h - lam_c
-    columns: dict[float, list[int]] = {}
-    for cell, lam in enumerate(lam_h.ravel().tolist()):
-        columns.setdefault(lam, []).append(cell)
-    taus = tau_h.ravel()
-    strokes = np.empty((4, lam_h.size))
-    for lam, cells in columns.items():
-        stroke_tol = tol / (1.0 + abs(lam - lam_c))
-        strokes[:2, cells] = pendulum_column_averages(lam, taus[cells], stroke_tol)[:2]
-        strokes[2, cells], strokes[3, cells], _ = pendulum_stroke_averages(lam_c, tau_c, stroke_tol)
-    e_h, s_h, e_c, s_c = strokes.reshape((4,) + lam_h.shape)
+    e_c, s_c, _ = pendulum_stroke_averages(lam_c, tau_c, tol / (1.0 + float(np.abs(dlam).max())))
+    e_h, s_h = np.array([pendulum_column_averages(lam, tau_h, tol / (1.0 + abs(lam - lam_c)))[:2]
+                         for lam in lam_h.tolist()]).transpose(1, 2, 0)
     return heats(e_h, e_c + dlam * s_c, e_h - dlam * s_h, e_c)
 
 

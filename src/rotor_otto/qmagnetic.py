@@ -26,6 +26,7 @@ from .units import (
     CyclePoint,
     DomainError,
     validate_control,
+    validate_count,
     validate_temperature,
 )
 
@@ -143,11 +144,12 @@ def epsilon_fourier(lam: float, tau: float, n_max: int | None = None) -> float:
 
 
 def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
-    """(Q_c, Q_h, W) of the quantum magnetic machine, elementwise over lam_h, tau_h.
+    """(Q_c, Q_h, W) of the quantum magnetic machine on the lam_h x tau_h grid.
 
-    Each stroke j enters through its moments mu_j, nu_j of k = m - c_j,
-    c_j = round(lambda_j), and f_j = lambda_j - c_j.  With D = c_h - c_c
-    (shift) and d = lambda_h - lambda_c, the quartet differences reduce to
+    The kernel contract of cycle.py.  Each stroke j enters through its
+    moments mu_j, nu_j of k = m - c_j, c_j = round(lambda_j), and
+    f_j = lambda_j - c_j.  With D = c_h - c_c (shift) and
+    d = lambda_h - lambda_c, the quartet differences reduce to
 
         Q_c = (nu_c - nu_h)/2 + f_c (mu_h - mu_c) - D (mu_h - f_c + D/2),
         Q_h = (nu_h - nu_c)/2 + f_h (mu_c - mu_h) + D (mu_c - f_h - D/2),
@@ -155,15 +157,10 @@ def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
 
     in which the lambda^2 and f^2 terms have cancelled algebraically, so the
     heats keep full precision at any |lambda| and near the ground state.
-    The hot moments are taken one tau_h value at a time, vectorized over
-    lambda_h.
+    The hot moments are one momentum_moments call per tau_h row.
     """
-    lam_h, tau_h = np.broadcast_arrays(np.asarray(lam_h, dtype=float), np.asarray(tau_h, dtype=float))
     mu_c, nu_c, _, _ = momentum_moments(lam_c, tau_c)
-    mu_h, nu_h = np.empty(lam_h.shape), np.empty(lam_h.shape)
-    for tau in np.unique(tau_h):
-        row = tau_h == tau
-        mu_h[row], nu_h[row], _, _ = momentum_moments(lam_h[row], tau)
+    mu_h, nu_h = np.array([momentum_moments(lam_h, tau)[:2] for tau in tau_h]).transpose(1, 0, 2)
     c_h, c_c = np.round(lam_h), round(lam_c)
     f_h, f_c, shift = lam_h - c_h, lam_c - c_c, c_h - c_c
     q_c = 0.5 * (nu_c - nu_h) + f_c * (mu_h - mu_c) - shift * (mu_h - f_c + 0.5 * shift)
@@ -193,16 +190,13 @@ def optimal_work_scan(
     tau_c = 1e-4, equal to the gap, <L_z>_c = 1/(1 + e) and this bound is
     -0.0133 E, far above -E/16.
     """
-    if lambda_h_range[2] < 1 or tau_h_range[2] < 1:
-        raise DomainError("optimal_work_scan needs a non-empty grid")
-    taus = np.linspace(tau_h_range[0], tau_h_range[1], int(tau_h_range[2]))
+    (lam_lo, lam_hi, lam_n), (tau_lo, tau_hi, tau_n) = lambda_h_range, tau_h_range
+    lams = np.linspace(lam_lo, lam_hi, validate_count(lam_n, 1, "optimal_work_scan lambda_h axis"))
+    taus = np.linspace(tau_lo, tau_hi, validate_count(tau_n, 1, "optimal_work_scan tau_h axis"))
     taus = taus[~(taus < tau_c)]
     if taus.size == 0:
         raise DomainError("optimal_work_scan grid contains no tau_h >= tau_c")
-    lams = np.linspace(lambda_h_range[0], lambda_h_range[1], int(lambda_h_range[2]))
-    lam_h, tau_h = np.meshgrid(lams, taus)
-    _, _, w = cycle_heats_magnetic(lam_h, tau_h, lambda_c, tau_c)
+    w = cycle_heats_magnetic(lams, taus, lambda_c, tau_c)[2]
     # argmin takes the first minimum in (tau_h, lambda_h) row-major order.
-    best = int(np.argmin(w))
-    point = CyclePoint(lam_h.flat[best], lambda_c, tau_h.flat[best], tau_c)
-    return point, float(w.flat[best])
+    i_tau, i_lam = np.unravel_index(np.argmin(w), w.shape)
+    return CyclePoint(lams[i_lam], lambda_c, taus[i_tau], tau_c), float(w[i_tau, i_lam])

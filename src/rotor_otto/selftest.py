@@ -15,6 +15,7 @@ import numpy as np
 import scipy.integrate
 
 from . import classical, qelectric, qmagnetic
+from .units import validate_tolerance
 
 
 def classical_electric_mean_energy_quadrature(
@@ -111,6 +112,8 @@ CHECKS = [
 
 def run_selftest(seed: int = 0, tol: float | None = None, out=None) -> bool:
     """Run all checks, print a pass/fail table, return overall success."""
+    if tol is not None:  # a bad tol is a usage error, not a failed check
+        validate_tolerance(tol)
     if out is None:
         out = sys.stdout
     all_ok = True

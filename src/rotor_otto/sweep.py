@@ -27,7 +27,7 @@ from .cycle import (
     check_tags,
     classify_modes,
 )
-from .units import ConvergenceError, CyclePoint, DomainError, validate_tolerance
+from .units import ConvergenceError, CyclePoint, DomainError, validate_count, validate_tolerance
 
 SCALE_LINEAR = "linear"
 SCALE_LOG = "log"
@@ -47,13 +47,10 @@ class SweepSpec:
     tau_scale: str = SCALE_LINEAR
 
     def __post_init__(self) -> None:
-        for rng, scale, name in (
-            (self.lambda_h_range, self.lambda_scale, "lambda_h"),
-            (self.tau_h_range, self.tau_scale, "tau_h"),
-        ):
-            lo, hi, count = rng
-            if count < 2:
-                raise DomainError(f"{name} axis needs count >= 2, got {count}")
+        for name, scale in (("lambda_h", self.lambda_scale), ("tau_h", self.tau_scale)):
+            lo, hi, count = getattr(self, f"{name}_range")
+            # Kept as a plain int: a numpy integer does not serialize to JSON.
+            object.__setattr__(self, f"{name}_range", (lo, hi, validate_count(count, 2, f"{name} axis")))
             if not lo < hi:
                 raise DomainError(f"{name} axis needs min < max, got ({lo}, {hi})")
             if scale not in (SCALE_LINEAR, SCALE_LOG):
@@ -65,7 +62,8 @@ class SweepSpec:
     @cached_property
     def _axes(self) -> tuple[np.ndarray, np.ndarray]:
         """(lambda_h axis, tau_h axis), computed once per spec and read-only."""
-        axes = (_axis(self.lambda_h_range, self.lambda_scale), _axis(self.tau_h_range, self.tau_scale))
+        axes = tuple((np.geomspace if scale == SCALE_LOG else np.linspace)(*rng) for rng, scale in
+                     ((self.lambda_h_range, self.lambda_scale), (self.tau_h_range, self.tau_scale)))
         for axis in axes:
             axis.flags.writeable = False
         return axes
@@ -100,13 +98,6 @@ class SweepSpec:
             lambda_scale=d["lambda_scale"],
             tau_scale=d["tau_scale"],
         )
-
-
-def _axis(rng: tuple[float, float, int], scale: str) -> np.ndarray:
-    lo, hi, count = rng
-    if scale == SCALE_LOG:
-        return np.geomspace(lo, hi, int(count))
-    return np.linspace(lo, hi, int(count))
 
 
 @dataclass(eq=False)
@@ -147,9 +138,9 @@ class SweepGrid:
 
 
 def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c, tol):
-    """(q_c, q_h, w, mode, efficiency, cop) at broadcast hot-stroke arrays.
+    """(q_c, q_h, w, mode, efficiency, cop), each (n_tau, n_lam): the kernel contract of cycle.py.
 
-    The coordinates must be valid cycle points (see CyclePoint).
+    lam_h and tau_h are the grid's axes; the cold stroke is solved once per call.
     """
     check_tags(machine, model)
     if machine == MACHINE_ELECTRIC and model == MODEL_CLASSICAL:
@@ -160,18 +151,17 @@ def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c, tol):
         q_c, q_h, w = classical.classical_cycle_magnetic(lam_h, tau_h, lam_c, tau_c)
     else:
         q_c, q_h, w = qmagnetic.cycle_heats_magnetic(lam_h, tau_h, lam_c, tau_c)
-    return (q_c, q_h, w) + classify_modes(q_c, q_h, w, tau_h, tau_c)
+    return (q_c, q_h, w) + classify_modes(q_c, q_h, w, tau_h[:, None], tau_c)
 
 
 def evaluate_point(
     machine: str, model: str, point: CyclePoint, tol: float = 1e-10
 ) -> CycleReport:
-    """Single-cycle evaluation: the sweep's kernels on one cell."""
+    """Single-cycle evaluation: the sweep's kernels on a 1x1 grid."""
     validate_tolerance(tol)
-    entries = _cycle_arrays(
-        machine, model, point.lambda_h, point.tau_h, point.lambda_c, point.tau_c, tol
-    )
-    return assemble_cycle(machine, model, point, *entries)
+    entries = _cycle_arrays(machine, model, np.array([point.lambda_h]), np.array([point.tau_h]),
+                            point.lambda_c, point.tau_c, tol)
+    return assemble_cycle(machine, model, point, *(a[0, 0] for a in entries))
 
 
 def run_sweep(spec: SweepSpec, tol: float = 1e-10) -> SweepGrid:
@@ -182,22 +172,21 @@ def run_sweep(spec: SweepSpec, tol: float = 1e-10) -> SweepGrid:
     """
     validate_tolerance(tol)
     lams, taus = spec.lambda_axis(), spec.tau_axis()
-    lam_h, tau_h = np.meshgrid(lams, taus)
     try:
         # A cell's coordinates are valid iff its column's and its row's are.
         for lam in lams:
             CyclePoint(lam, spec.lambda_c, taus[-1], spec.tau_c)
         for tau in taus:
             CyclePoint(lams[0], spec.lambda_c, tau, spec.tau_c)
-        arrays = _cycle_arrays(spec.machine, spec.model, lam_h, tau_h, spec.lambda_c,
-                               spec.tau_c, tol)
+        arrays = _cycle_arrays(spec.machine, spec.model, lams, taus, spec.lambda_c, spec.tau_c, tol)
     except (DomainError, ConvergenceError):
-        for lam, tau in zip(lam_h.flat, tau_h.flat):
-            try:
-                evaluate_point(spec.machine, spec.model,
-                               CyclePoint(lam, spec.lambda_c, tau, spec.tau_c), tol=tol)
-            except (DomainError, ConvergenceError) as exc:
-                raise type(exc)(f"cell (lambda_h={lam}, tau_h={tau}): {exc}") from exc
+        for tau in taus:
+            for lam in lams:
+                try:
+                    evaluate_point(spec.machine, spec.model,
+                                   CyclePoint(lam, spec.lambda_c, tau, spec.tau_c), tol=tol)
+                except (DomainError, ConvergenceError) as exc:
+                    raise type(exc)(f"cell (lambda_h={lam}, tau_h={tau}): {exc}") from exc
         raise
     grid = SweepGrid(spec, *arrays)
     grid.boundary_engine, grid.boundary_fridge = extract_boundaries(grid)
@@ -209,9 +198,10 @@ def momentum_curve(
 ) -> list[tuple[float, float, float, float]]:
     """Rows (lambda, tau, <L_z>/hbar, epsilon) of the thermal momentum curve."""
     lo, hi, count = lambda_range
-    if count < 2 or not lo < hi:
+    validate_count(count, 2, "lambda range")
+    if not lo < hi:
         raise DomainError(f"invalid lambda range {lambda_range}")
-    lams = np.linspace(lo, hi, int(count))
+    lams = np.linspace(lo, hi, count)
     centers = np.round(lams)
     rows = []
     for tau in taus:

@@ -9,6 +9,7 @@ so no SI conversion is provided anywhere in the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -33,6 +34,17 @@ def validate_tolerance(tol: float) -> float:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and > 0, got {tol}")
     return tol
+
+
+def validate_count(count, minimum: int, what: str) -> int:
+    """Check the point count of a grid axis: an integer (numpy's too) >= minimum."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise DomainError(f"{what} needs an integer count, got {count!r}") from None
+    if count < minimum:
+        raise DomainError(f"{what} needs count >= {minimum}, got {count}")
+    return count
 
 
 def validate_control(lam: float, require_nonnegative: bool = False) -> float:

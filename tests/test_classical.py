@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,14 @@ class TestMagneticNoGo:
             assert r.q_c == pytest.approx(-dtau / 2 - d**2 / 2, abs=1e-12)
             assert r.q_h == pytest.approx(dtau / 2 - d**2 / 2, abs=1e-12)
             assert r.mode == "Heater"
+
+    def test_work_is_correctly_rounded_square(self):
+        # libm pow(d, 2) rounds this d^2 0.5005 ulp off; a point must give
+        # the correctly rounded d*d, as its sweep cell does.
+        p = CyclePoint(25.68044275069256, -0.03890868177107217, 0.004931128551802054, 0.002895340457074458)
+        d = p.lambda_h - p.lambda_c
+        assert evaluate_point("magnetic", "classical", p).w == d * d
+        assert d * d == float(Fraction(d) ** 2)
 
     def test_degenerate_cycle(self):
         p = CyclePoint(0.3, 0.3, 1.0, 1.0)

@@ -108,6 +108,14 @@ class TestInvalidTolerance:
         assert f"error: tol must be finite and > 0, got {float(tol)}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_selftest_exits_2(self, tol, no_eigensolve, capsys):
+        # Exit 1 would claim a failed oracle check; no check runs at all.
+        code, out, err = run_cli(["selftest", "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: tol must be finite and > 0, got {float(tol)}" in err
+
 
 class TestUnwritableOutput:
     def test_sweep_exits_2(self, tmp_path, capsys):

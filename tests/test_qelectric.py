@@ -236,6 +236,20 @@ class TestColumnAverages:
         run_sweep(spec)
         assert 0 < len(calls) <= 8 * 5
 
+    def test_cold_stroke_solved_once_per_sweep(self, monkeypatch):
+        # One call, at the tolerance of the column farthest from lambda_c,
+        # which is the tightest any column needs.
+        calls = []
+
+        def counting(lam, tau, tol):
+            calls.append((lam, tau, tol))
+            return pendulum_stroke_averages(lam, tau, tol)
+
+        monkeypatch.setattr(qelectric, "pendulum_stroke_averages", counting)
+        spec = SweepSpec((1.0, 20.0, 5), (1.0, 10.0, 3), 1.0, 0.5, "electric", "quantum")
+        run_sweep(spec)
+        assert calls == [(1.0, 0.5, 1e-10 / (1.0 + 19.0))]
+
 
 class TestThermalQuartet:
     def test_degenerate_cycle(self):

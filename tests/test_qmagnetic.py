@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rotor_otto.qmagnetic import (
+    cycle_heats_magnetic,
     epsilon_fourier,
     momentum_stats,
     optimal_work_scan,
@@ -224,3 +225,30 @@ class TestOptimalWorkScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             optimal_work_scan(0.485, 0.001, (0.2, 0.3, 0), (0.5, 1.5, 5))
+
+    @pytest.mark.parametrize("lams, taus", [((0.2, 0.3, 2.5), (0.5, 1.5, 5)),
+                                            ((0.2, 0.3, 21), (0.5, 1.5, 5.0))])
+    def test_fractional_count_rejected(self, lams, taus):
+        with pytest.raises(DomainError, match="integer count"):
+            optimal_work_scan(0.485, 0.001, lams, taus)
+
+    @pytest.mark.parametrize("lam_c, tau_c", [(0.6, 0.1), (0.1, 0.3)])
+    def test_returns_exact_grid_minimum(self, lam_c, tau_c):
+        # Brute force over the same grid through evaluate_point, keeping the
+        # first minimum in row-major (tau_h, lambda_h) order; at (0.1, 0.3)
+        # the minimum W = 0 is tied along lambda_h = lambda_c.  The first
+        # tau_h row lies below tau_c and must be skipped: the kernel's work
+        # there is lower than anywhere on the valid rows.
+        lam_range, tau_range = (0.0, 1.0, 21), (tau_c / 3, 1.5, 8)
+        best = None
+        for tau_h in np.linspace(*tau_range)[1:]:
+            for lam_h in np.linspace(*lam_range):
+                w = evaluate_point("magnetic", "quantum", CyclePoint(lam_h, lam_c, tau_h, tau_c)).w
+                if best is None or w < best[0]:
+                    best = (w, lam_h, tau_h)
+        point, w_min = optimal_work_scan(lam_c, tau_c, lam_range, tau_range)
+        bits = [float(v).hex() for v in (w_min, point.lambda_h, point.tau_h)]
+        assert bits == [float(v).hex() for v in best]
+        assert (point.lambda_c, point.tau_c) == (lam_c, tau_c)
+        skipped = cycle_heats_magnetic(np.linspace(*lam_range), np.array([tau_c / 3]), lam_c, tau_c)[2]
+        assert skipped.min() < w_min

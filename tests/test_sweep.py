@@ -37,6 +37,22 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             small_spec(lambda_h_range=(1.0, 8.0, 1))
 
+    @pytest.mark.parametrize("count", [2.5, 3.0])
+    def test_fractional_count_rejected(self, count):
+        # int(2.5) would sweep 2 columns; a 3.0 would sweep, then fail read_json.
+        with pytest.raises(DomainError, match="lambda_h axis needs an integer count"):
+            small_spec(lambda_h_range=(1.0, 8.0, count))
+        with pytest.raises(DomainError, match="tau_h axis needs an integer count"):
+            small_spec(tau_h_range=(1.0, 6.0, count))
+
+    def test_numpy_integer_count_accepted(self, tmp_path):
+        spec = small_spec(lambda_h_range=(1.0, 8.0, np.int64(4)))
+        assert spec.lambda_axis().shape == (4,)
+        assert spec == small_spec(lambda_h_range=(1.0, 8.0, 4))
+        path = tmp_path / "grid.json"
+        write_json(run_sweep(spec), path)
+        assert read_json(path).spec == spec
+
     def test_inverted_range_rejected(self):
         with pytest.raises(DomainError):
             small_spec(tau_h_range=(6.0, 1.0, 10))
@@ -180,6 +196,11 @@ class TestMomentumCurve:
         with pytest.raises(DomainError):
             momentum_curve((1.0, 0.0, 10), [0.5])
 
+    @pytest.mark.parametrize("count", [2.7, 3.0])
+    def test_fractional_count_rejected(self, count):
+        with pytest.raises(DomainError, match="integer count"):
+            momentum_curve((0.0, 1.0, count), [0.5])
+
 
 def synthetic_grid(f, n_lam=11, n_tau=9):
     """SweepGrid whose W field is f(lambda_h, tau_h), Q_c = -1 everywhere."""
@@ -286,6 +307,14 @@ class TestSerialization:
         assert restored.cells == grid.cells
         assert restored.boundary_engine == grid.boundary_engine
         assert restored.boundary_fridge == grid.boundary_fridge
+
+    def test_json_with_fractional_count_rejected(self, tmp_path):
+        path = tmp_path / "grid.json"
+        write_json(run_sweep(small_spec(lambda_h_range=(1.0, 4.0, 3))), path)
+        path.write_text(path.read_text().replace('"lambda_h_range": [1.0, 4.0, 3]',
+                                                 '"lambda_h_range": [1.0, 4.0, 3.0]'))
+        with pytest.raises(DomainError, match="integer count"):
+            read_json(path)
 
     def test_write_error_carries_path(self, tmp_path):
         grid = run_sweep(small_spec(lambda_h_range=(1.0, 4.0, 3), tau_h_range=(1.0, 3.0, 3)))
