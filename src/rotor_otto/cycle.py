@@ -21,7 +21,7 @@ package documentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,34 +54,18 @@ class CycleReport:
     point: CyclePoint
 
     def to_json_dict(self) -> dict:
-        return {
-            "q_c": self.q_c,
-            "q_h": self.q_h,
-            "w": self.w,
-            "mode": self.mode,
-            "efficiency": self.efficiency,
-            "cop": self.cop,
-            "machine": self.machine,
-            "model": self.model,
-            "lambda_h": self.point.lambda_h,
-            "lambda_c": self.point.lambda_c,
-            "tau_h": self.point.tau_h,
-            "tau_c": self.point.tau_c,
-        }
+        """The report as one flat dict, keys in JSON_KEYS order."""
+        return {key: getattr(self, key) for key in _FIELD_KEYS} | self.point.to_dict()
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CycleReport":
-        return cls(
-            q_c=d["q_c"],
-            q_h=d["q_h"],
-            w=d["w"],
-            mode=d["mode"],
-            efficiency=d["efficiency"],
-            cop=d["cop"],
-            machine=d["machine"],
-            model=d["model"],
-            point=CyclePoint(d["lambda_h"], d["lambda_c"], d["tau_h"], d["tau_c"]),
-        )
+        return cls(*(d[key] for key in _FIELD_KEYS), point=CyclePoint.from_dict(d))
+
+
+# The JSON schema of a report, and so of a sweep file's cells: the report's
+# fields in declaration order, then its point's (the order of CyclePoint.to_dict).
+_FIELD_KEYS = tuple(f.name for f in fields(CycleReport) if f.name != "point")
+JSON_KEYS = _FIELD_KEYS + tuple(f.name for f in fields(CyclePoint))
 
 
 def carnot_bound(point: CyclePoint) -> float:

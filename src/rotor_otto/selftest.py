@@ -9,13 +9,14 @@ oracles here are also reused by the test suite.
 
 from __future__ import annotations
 
+import numbers
 import sys
 
 import numpy as np
 import scipy.integrate
 
 from . import classical, qelectric, qmagnetic
-from .units import validate_tolerance
+from .units import DomainError, validate_tolerance
 
 
 def classical_electric_mean_energy_quadrature(
@@ -112,7 +113,10 @@ CHECKS = [
 
 def run_selftest(seed: int = 0, tol: float | None = None, out=None) -> bool:
     """Run all checks, print a pass/fail table, return overall success."""
-    if tol is not None:  # a bad tol is a usage error, not a failed check
+    # A bad seed or tol is a usage error, not a failed check.
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    if tol is not None:
         validate_tolerance(tol)
     if out is None:
         out = sys.stdout

@@ -9,18 +9,22 @@ W and Q_c, extracted by marching squares with linear edge interpolation.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat, starmap
 
 import numpy as np
 
 from . import classical, qelectric, qmagnetic
 from .cycle import (
+    JSON_KEYS,
     MACHINE_ELECTRIC,
+    MODE_ENGINE,
+    MODE_HEATER,
+    MODE_REFRIGERATOR,
     MODEL_CLASSICAL,
     CycleReport,
     assemble_cycle,
@@ -308,32 +312,23 @@ CSV_COLUMNS = [
 ]
 
 
-def _records(grid: SweepGrid):
-    """Per-cell dicts in the CycleReport JSON schema, row-major; None for NaN.
+def _cell_texts(grid: SweepGrid, real, absent: str, tag):
+    """Per tau_h row, an iterator over its cells as tuples of text in CSV_COLUMNS order.
 
-    Made one tau_h row at a time, from Python floats and strs (the repr of a
-    numpy float names its type), so no grid-sized list of objects is held.
+    real formats a Python float (tolist(): the repr of a numpy float names its
+    type), tag a machine, model or mode name, and absent stands for a NaN
+    efficiency or COP.  The axes and the constant columns are formatted once;
+    one row at a time is held.
     """
     spec = grid.spec
-    lams = spec.lambda_axis().tolist()
-    lam_c, tau_c = float(spec.lambda_c), float(spec.tau_c)
+    lams = list(map(real, spec.lambda_axis().tolist()))
+    fixed = [real(float(spec.lambda_c)), real(float(spec.tau_c)), tag(spec.machine), tag(spec.model)]
     for j, tau_h in enumerate(spec.tau_axis().tolist()):
-        row = (a[j].tolist() for a in (grid.q_c, grid.q_h, grid.w, grid.mode, grid.efficiency, grid.cop))
-        for lam_h, q_c, q_h, w, mode, eff, cop in zip(lams, *row):
-            yield {
-                "q_c": q_c,
-                "q_h": q_h,
-                "w": w,
-                "mode": mode,
-                "efficiency": None if math.isnan(eff) else eff,
-                "cop": None if math.isnan(cop) else cop,
-                "machine": spec.machine,
-                "model": spec.model,
-                "lambda_h": lam_h,
-                "lambda_c": lam_c,
-                "tau_h": tau_h,
-                "tau_c": tau_c,
-            }
+        heats = [map(real, a[j].tolist()) for a in (grid.q_c, grid.q_h, grid.w)]
+        optionals = [[absent if math.isnan(x) else real(x) for x in a[j].tolist()]
+                     for a in (grid.efficiency, grid.cop)]
+        yield zip(lams, *map(repeat, [real(tau_h), *fixed]), *heats,
+                  map(tag, grid.mode[j].tolist()), *optionals)
 
 
 def _write(path, what: str, emit) -> None:
@@ -353,57 +348,71 @@ def _write(path, what: str, emit) -> None:
 def write_csv(grid: SweepGrid, path) -> None:
     """CSV with one row per cell; shortest round-trip decimals, '' for absent optionals.
 
-    The csv module writes floats by their repr and None as ''.
+    The bytes are those of csv.writer: str of a float is its repr, and no
+    field needs quoting, since every text field is a machine or model name
+    (check_tags) or a mode (classify_modes).
     """
 
     def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows([rec[key] for key in CSV_COLUMNS] for rec in _records(grid))
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        for row in _cell_texts(grid, str, "", str):
+            fh.write("".join(",".join(cell) + "\r\n" for cell in row))
 
     _write(path, "CSV", emit)
 
 
-def write_json(grid: SweepGrid, path) -> None:
-    """JSON mirroring the CycleReport schema plus the spec header.
+def _json_float(x: float) -> str:
+    return repr(x) if math.isfinite(x) else json.dumps(x)
 
-    The document is written as json.dump would write it, one cell at a time.
+
+def write_json(grid: SweepGrid, path) -> None:
+    """JSON: the spec, the cells in the CycleReport schema (row-major), the boundaries.
+
+    The document is written as json.dump would write it, one tau_h row at a time.
     """
+    cell = "{{" + ", ".join(f'"{key}": {{{CSV_COLUMNS.index(key)}}}' for key in JSON_KEYS) + "}}"
 
     def emit(fh):
         fh.write('{"spec": ' + json.dumps(grid.spec.to_dict()) + ', "cells": [')
-        for k, record in enumerate(_records(grid)):
-            fh.write((", " if k else "") + json.dumps(record))
-        lines = [[[list(p) for p in line] for line in grid.boundary_engine],
-                 [[list(p) for p in line] for line in grid.boundary_fridge]]
-        fh.write('], "boundary_engine": ' + json.dumps(lines[0])
-                 + ', "boundary_fridge": ' + json.dumps(lines[1]) + "}\n")
+        sep = ""
+        for row in _cell_texts(grid, _json_float, "null", json.dumps):
+            fh.write(sep + ", ".join(starmap(cell.format, row)))
+            sep = ", "
+        fh.write('], "boundary_engine": ' + json.dumps(grid.boundary_engine)
+                 + ', "boundary_fridge": ' + json.dumps(grid.boundary_fridge) + "}\n")
 
     _write(path, "JSON", emit)
 
 
 def read_json(path) -> SweepGrid:
-    """Inverse of write_json."""
+    """Inverse of write_json; DomainError naming path if the file holds no sweep grid."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise OSError(f"failed reading JSON from {path}: {exc}") from exc
-    spec = SweepSpec.from_dict(doc["spec"])
-    shape = (spec.tau_h_range[2], spec.lambda_h_range[2])
+    try:
+        spec = SweepSpec.from_dict(doc["spec"])
+        shape = (spec.tau_h_range[2], spec.lambda_h_range[2])
 
-    def column(key, dtype=float):
-        values = [math.nan if d[key] is None else d[key] for d in doc["cells"]]
-        return np.array(values, dtype=dtype).reshape(shape)
+        def column(key, dtype=float):
+            values = [math.nan if d[key] is None else d[key] for d in doc["cells"]]
+            return np.array(values, dtype=dtype).reshape(shape)
 
-    return SweepGrid(
-        spec=spec,
-        q_c=column("q_c"),
-        q_h=column("q_h"),
-        w=column("w"),
-        mode=column("mode", dtype=str),
-        efficiency=column("efficiency"),
-        cop=column("cop"),
-        boundary_engine=[[tuple(p) for p in line] for line in doc["boundary_engine"]],
-        boundary_fridge=[[tuple(p) for p in line] for line in doc["boundary_fridge"]],
-    )
+        grid = SweepGrid(
+            spec=spec,
+            q_c=column("q_c"),
+            q_h=column("q_h"),
+            w=column("w"),
+            mode=column("mode", dtype=str),
+            efficiency=column("efficiency"),
+            cop=column("cop"),
+            boundary_engine=[[tuple(p) for p in line] for line in doc["boundary_engine"]],
+            boundary_fridge=[[tuple(p) for p in line] for line in doc["boundary_fridge"]],
+        )
+        unknown = set(np.unique(grid.mode).tolist()) - {MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER}
+        if unknown:
+            raise DomainError(f"unknown mode {sorted(unknown)[0]!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"{path} holds no sweep grid: {type(exc).__name__}: {exc}") from exc
+    return grid

@@ -228,3 +228,10 @@ class TestSelftestCommand:
         code, out, _ = run_cli(["selftest", "--tol", "1e-30"], capsys)
         assert code == 1
         assert "FAIL" in out
+
+    def test_negative_seed_exits_2(self, no_eigensolve, capsys):
+        # numpy's default_rng rejects it; that must not read as a failed check.
+        code, out, err = run_cli(["selftest", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error: seed must be a non-negative integer, got -1" in err

@@ -1,4 +1,8 @@
 import csv
+import dataclasses
+import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -261,6 +265,21 @@ class TestBoundaries:
                 assert xs[1] <= x <= xs[2]
 
 
+@pytest.fixture(params=["as run", "infinite COP"])
+def mixed_grid(request):
+    """A grid with all three modes on a log-scaled tau_h axis; optionally one COP is inf,
+    as classify_modes gives a refrigerator with W = 0."""
+    spec = SweepSpec((0.0, 0.5, 9), (0.01, 2.0, 7), 0.485, 0.001, "magnetic", "quantum",
+                     tau_scale="log")
+    grid = run_sweep(spec)
+    assert set(grid.mode.flat) == {"Engine", "Refrigerator", "Heater"}
+    if request.param == "infinite COP":
+        cop = grid.cop.copy()
+        cop[tuple(np.argwhere(grid.mode == "Refrigerator")[0])] = np.inf
+        grid = dataclasses.replace(grid, cop=cop)
+    return grid
+
+
 class TestSerialization:
     def test_csv_deterministic(self, tmp_path):
         spec = small_spec(lambda_h_range=(1.0, 4.0, 5), tau_h_range=(1.0, 3.0, 4))
@@ -321,3 +340,43 @@ class TestSerialization:
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
             write_csv(grid, missing)
+
+    def test_json_bytes_equal_report_dicts(self, mixed_grid, tmp_path):
+        path = tmp_path / "grid.json"
+        write_json(mixed_grid, path)
+        doc = {
+            "spec": mixed_grid.spec.to_dict(),
+            "cells": [r.to_json_dict() for r in mixed_grid.cells],
+            "boundary_engine": mixed_grid.boundary_engine,
+            "boundary_fridge": mixed_grid.boundary_fridge,
+        }
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+        assert read_json(path).cells == mixed_grid.cells
+
+    def test_csv_bytes_equal_csv_writer(self, mixed_grid, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_csv(mixed_grid, path)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["lambda_h", "tau_h", "lambda_c", "tau_c", "machine", "model",
+                         "q_c", "q_h", "w", "mode", "efficiency", "cop"])
+        for r in mixed_grid.cells:
+            p = r.point
+            writer.writerow([p.lambda_h, p.tau_h, p.lambda_c, p.tau_c, r.machine, r.model,
+                             r.q_c, r.q_h, r.w, r.mode, r.efficiency, r.cop])
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["cells"].pop(), "cannot reshape array of size 8 into shape (3,3)"),
+        (lambda doc: doc["cells"][4].pop("w"), "KeyError: 'w'"),
+        (lambda doc: doc["cells"][4].update(mode="Turbine"), "unknown mode 'Turbine'"),
+    ], ids=["too few cells", "missing key", "unknown mode"])
+    def test_malformed_json_rejected_with_path(self, edit, message, tmp_path):
+        path = tmp_path / "grid.json"
+        write_json(run_sweep(small_spec(lambda_h_range=(1.0, 4.0, 3), tau_h_range=(1.0, 3.0, 3))), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=re.escape(message)) as info:
+            read_json(path)
+        assert str(path) in str(info.value)
