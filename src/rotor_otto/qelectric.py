@@ -8,6 +8,18 @@ non-commuting H(lambda_i) under the Gibbs state of H(lambda_j) use the
 operator identity H(lambda_i) = H(lambda_j) + (lambda_i - lambda_j) S with
 S = sin^2(alpha/2), so each stroke needs only the spectrum of its own H.
 
+H(lambda) commutes with the parity alpha -> -alpha, so in the basis
+|c_0> = |0>, |c_m> = (|m> + |-m>)/sqrt(2) and |s_m> = (|m> - |-m>)/sqrt(2)
+it splits into two symmetric tridiagonal blocks with the same diagonal
+m^2/2 + lambda/2: the even block, m = 0..M, whose first off-diagonal entry is
+-sqrt(2) lambda/4 and the others -lambda/4, and the odd block, m = 1..M, with
+off-diagonal -lambda/4.  With q = 2 lambda these are Mathieu's two families
+of period 2 pi in alpha, E = (a_2n(q) + 4 lambda)/8 for the even block and
+(b_2n+2(q) + 4 lambda)/8 for the odd one (DLMF 28.2, 28.4).  Each stroke
+solves both blocks, with about half the eigenvector memory of the full
+(2M + 1) matrix; build_pendulum_hamiltonian keeps the full matrix for the
+oracles.
+
 The spectrum does not depend on tau: a sweep diagonalizes H(lambda) once per
 lambda_h column and per basis cutoff M, and forms the averages of every tau_h
 of that column from it; the cold stroke is solved once per sweep.  M is
@@ -40,6 +52,7 @@ _MAX_CUTOFF = 1 << 15
 # average is exact in that limit.
 _GROUND_STATE_TAU = 1e-6
 _EPS = float(np.finfo(float).eps)
+_SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -97,21 +110,32 @@ def eigensolve_sym_tridiagonal(
     )
 
 
+def _parity_blocks(lam: float, cutoff: int) -> tuple[TridiagonalHamiltonian, TridiagonalHamiltonian]:
+    """Even (m = 0..cutoff) and odd (m = 1..cutoff) blocks of H(lambda) at cutoff."""
+    m = np.arange(cutoff + 1, dtype=float)
+    diag = 0.5 * m * m + 0.5 * lam
+    offdiag = np.full(cutoff, -0.25 * lam)
+    even_offdiag = offdiag.copy()
+    even_offdiag[0] *= _SQRT2
+    return (TridiagonalHamiltonian(diag=diag, offdiag=even_offdiag, cutoff_m=cutoff, lam=lam),
+            TridiagonalHamiltonian(diag=diag[1:], offdiag=offdiag[1:], cutoff_m=cutoff, lam=lam))
+
+
 def _column_at(lam: float, taus: np.ndarray, cutoff: int) -> np.ndarray:
     """(<H>, <S>) rows in the Gibbs states of H(lambda) at each tau, at fixed cutoff.
 
-    One eigensolve serves every tau; a tau below _GROUND_STATE_TAU takes the
-    ground state only.  Each tau is averaged by its own 1-D dot product, so
-    its averages do not depend on which other taus share the call.
+    One eigensolve per parity block serves every tau; a tau below
+    _GROUND_STATE_TAU takes the ground state, the even block's first level,
+    only.  Each tau is averaged by its own 1-D dot product, so its averages
+    do not depend on which other taus share the call.
     """
-    h = build_pendulum_hamiltonian(lam, cutoff)
-    spec = eigensolve_sym_tridiagonal(h, want_vectors=True)
-    energies = spec.eigenvalues
-    # <n|S|n> = 1/2 - (1/2) sum_k v_k v_{k+1} for the tridiagonal S
-    # (diag 1/2, offdiag -1/4), same sign convention as the builder.
-    v = spec.eigenvectors
-    overlap = np.einsum("kn,kn->n", v[:-1, :], v[1:, :])
-    s_diag = 0.5 - 0.5 * overlap
+    even, odd = (eigensolve_sym_tridiagonal(h, want_vectors=True) for h in _parity_blocks(lam, cutoff))
+    energies = np.concatenate((even.eigenvalues, odd.eigenvalues))
+    # <n|S|n> = 1/2 - (1/2) sum_k c_k v_k v_{k+1} for S = H'(lambda) (diag 1/2,
+    # offdiag -1/4), with c_0 = sqrt(2) in the even block and c_k = 1 otherwise.
+    overlaps = [np.einsum("kn,kn->n", v[:-1, :], v[1:, :]) for v in (even.eigenvectors, odd.eigenvectors)]
+    overlaps[0] += (_SQRT2 - 1.0) * even.eigenvectors[0] * even.eigenvectors[1]
+    s_diag = 0.5 - 0.5 * np.concatenate(overlaps)
     # Boltzmann weights relative to the ground state (avoids underflow).
     w = np.exp(-(energies - energies[0]) / np.maximum(taus, _GROUND_STATE_TAU)[:, None])
     w[taus < _GROUND_STATE_TAU, 1:] = 0.0

@@ -384,6 +384,30 @@ def write_json(grid: SweepGrid, path) -> None:
     _write(path, "JSON", emit)
 
 
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
+
+
+def _check_cells(cells: list, spec: SweepSpec) -> None:
+    """DomainError naming the first cell, in row-major order, that disagrees with spec.
+
+    A cell's coordinates, machine and model must be the spec's (the axes
+    are written as shortest round-trip decimals, so they compare exactly),
+    its heats and work numbers, and its efficiency and COP numbers or null.
+    """
+    lams, taus = spec.lambda_axis().tolist(), spec.tau_axis().tolist()
+    fixed = {"lambda_c": spec.lambda_c, "tau_c": spec.tau_c, "machine": spec.machine, "model": spec.model}
+    for k, cell in enumerate(cells):
+        j, i = divmod(k, len(lams))
+        for key, value in {"lambda_h": lams[i], "tau_h": taus[j], **fixed}.items():
+            # A bool equals 0 or 1 but is no coordinate.
+            if cell[key] != value or _is_number(cell[key]) != _is_number(value):
+                raise DomainError(f"cell {k}: {key} is {cell[key]!r}, the spec's is {value!r}")
+        for key in ("q_c", "q_h", "w", "efficiency", "cop"):
+            if not (_is_number(cell[key]) or key in ("efficiency", "cop") and cell[key] is None):
+                raise DomainError(f"cell {k}: {key} is {cell[key]!r}, not a number")
+
+
 def read_json(path) -> SweepGrid:
     """Inverse of write_json; DomainError naming path if the file holds no sweep grid."""
     try:
@@ -413,6 +437,7 @@ def read_json(path) -> SweepGrid:
         unknown = set(np.unique(grid.mode).tolist()) - {MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER}
         if unknown:
             raise DomainError(f"unknown mode {sorted(unknown)[0]!r}")
+        _check_cells(doc["cells"], spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path} holds no sweep grid: {type(exc).__name__}: {exc}") from exc
     return grid

@@ -9,7 +9,10 @@ Neither route shares code with ``rotor_otto``:
   matrix in the momentum basis and takes the traces Tr[rho_j H_i] directly,
   without the H_i = H_j + (lambda_i - lambda_j) S identity or the cutoff
   doubling of the production path; ``dense_heats_electric`` forms the
-  cycle's heats from those traces.
+  cycle's heats from those traces;
+- ``potential_average_mp`` integrates the classical pendulum's angular
+  average <sin^2(alpha/2)> at 30 significant digits (mpmath.quad), with the
+  interval split at the peak of the integrand.
 """
 
 from __future__ import annotations
@@ -66,6 +69,27 @@ def magnetic_cycle_mp(lam_h: float, lam_c: float, tau_h: float, tau_c: float):
         q_c = (l2_c / 2 - lc * l_c) - (l2_h / 2 - lc * l_h)
         w = (mpmath.mpf(lam_h) - lc) * (l_h - l_c)
         return +q_c, +w
+
+
+def potential_average_mp(lam: float, tau: float):
+    """<sin^2(alpha/2)> under the weight exp(-(lambda/tau) sin^2(alpha/2)), as an mpmath number.
+
+    The integrands are even in alpha, so both integrals run over [0, pi],
+    split where sin^2(alpha/2) e^(-x sin^2(alpha/2)) peaks, at
+    sin^2(alpha/2) = 1/x for x = lambda/tau > 1; the float inputs are taken
+    exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(MP_DPS):
+        x = mpmath.mpf(lam) / mpmath.mpf(tau)
+        points = [0, mpmath.pi] if x <= 1 else [0, 2 * mpmath.asin(1 / mpmath.sqrt(x)), mpmath.pi]
+
+        def boltzmann(alpha):
+            return mpmath.exp(-x * mpmath.sin(alpha / 2) ** 2)
+
+        num = mpmath.quad(lambda a: mpmath.sin(a / 2) ** 2 * boltzmann(a), points)
+        return +(num / mpmath.quad(boltzmann, points))
 
 
 def _dense_pendulum(lam: float, cutoff: int) -> np.ndarray:

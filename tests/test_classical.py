@@ -15,6 +15,8 @@ from rotor_otto.specfun import bessel_ratio_i1_i0
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint
 
+from oracles import potential_average_mp
+
 
 def ratio(lam, tau):
     return bessel_ratio_i1_i0(bessel_argument(lam, tau))
@@ -38,6 +40,26 @@ class TestElectricMeanEnergy:
             got = classical_mean_energy_electric(lam_i, lam_j, tau_j)
             expected = classical_electric_mean_energy_quadrature(lam_i, lam_j, tau_j)
             assert got == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("x", [1e-6, 1.0, 25.0, 1e3, 1e5, 1e7])
+    def test_quadrature_oracle_over_decades(self, x):
+        # x = lambda_j/tau_j; the peak of the angular weight narrows as
+        # 1/sqrt(x).  lambda_i stays of order one: the closed form's 1 - I1/I0
+        # carries the rounding of the ratio, ~eps x in relative terms, which
+        # lambda_i would scale.
+        tau_j = 0.5
+        got = classical_electric_mean_energy_quadrature(1.3, x * tau_j, tau_j)
+        expected = classical_mean_energy_electric(1.3, x * tau_j, tau_j)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_quadrature_oracle_against_30_digits(self):
+        # At x = 1e7 with lambda_i = lambda_j the potential term is half of
+        # <H>, so the 30-digit integral checks the quadrature's own digits.
+        pytest.importorskip("mpmath")
+        lam_j, tau_j = 5e6, 0.5
+        expected = 0.5 * tau_j + lam_j * float(potential_average_mp(lam_j, tau_j))
+        got = classical_electric_mean_energy_quadrature(lam_j, lam_j, tau_j)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_pinned_pendulum_limit(self):
         # lambda_j -> inf: the potential average vanishes, only kinetic remains

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rotor_otto
 from rotor_otto import cli, qelectric, sweep
 from rotor_otto.sweep import SweepSpec, run_sweep, write_csv
 
@@ -235,3 +239,15 @@ class TestSelftestCommand:
         assert code == 2
         assert out == ""
         assert "error: seed must be a non-negative integer, got -1" in err
+
+
+class TestImportBudget:
+    def test_cli_leaves_heavy_scipy_subpackages_unloaded(self):
+        # The CLI uses scipy only through scipy.linalg.lapack and
+        # scipy.special; scipy.integrate alone pulls in the other four.
+        heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.fft")
+        src = os.path.dirname(os.path.dirname(rotor_otto.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = f"import sys, rotor_otto.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.split() == []

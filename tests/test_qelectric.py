@@ -153,29 +153,53 @@ class TestStrokeAverages:
             assert abs(got - value) < 1e-10, name
 
 
+def _parity_block_levels(lam, cutoff):
+    """(energies, <n|S|n>) of the even block (m = 0..cutoff), then the odd block (m = 1..cutoff)."""
+    energies, s_diag = [], []
+    for h, c0 in zip(qelectric._parity_blocks(lam, cutoff), (math.sqrt(2.0), 1.0)):
+        spec = eigensolve_sym_tridiagonal(h, want_vectors=True)
+        v = spec.eigenvectors
+        energies.append(spec.eigenvalues)
+        s_diag.append(np.einsum("kn,kn->n", v[:-1, :], v[1:, :]) + (c0 - 1.0) * v[0] * v[1])
+    return np.concatenate(energies), 0.5 - 0.5 * np.concatenate(s_diag)
+
+
 def _per_tau_reference(lam, tau, tol):
-    """(<H>, <S>, cutoff) by one eigensolve per cutoff for this tau alone.
+    """(<H>, <S>, cutoff) by one pair of parity-block eigensolves per cutoff for this tau alone.
 
     The per-tau loop that pendulum_column_averages replaces, kept as the
     reference: same arithmetic, so the results must agree bit for bit.
     """
     prev, cutoff = None, 32
     while cutoff <= 1 << 16:
-        spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff), want_vectors=True)
-        energies, v = spec.eigenvalues, spec.eigenvectors
+        energies, s_diag = _parity_block_levels(lam, cutoff)
         if tau < 1e-6:
             w = np.zeros_like(energies)
             w[0] = 1.0
         else:
             w = np.exp(-(energies - energies[0]) / tau)
             w = w / w.sum()
-        cur = (float(w @ energies),
-               float(w @ (0.5 - 0.5 * np.einsum("kn,kn->n", v[:-1, :], v[1:, :]))))
+        cur = (float(w @ energies), float(w @ s_diag))
         bound = max(tol, 8.0 * np.finfo(float).eps * (0.5 * cutoff * cutoff + 1.5 * lam))
         if prev is not None and abs(cur[0] - prev[0]) < bound and abs(cur[1] - prev[1]) < bound:
             return cur + (cutoff,)
         prev, cutoff = cur, 2 * cutoff
     raise AssertionError("reference did not converge")
+
+
+def _full_matrix_column(lam, taus, cutoff):
+    """(<H>, <S>) rows at each tau from the full (2M + 1) matrix at cutoff M."""
+    spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff), want_vectors=True)
+    energies, v = spec.eigenvalues, spec.eigenvectors
+    s_diag = 0.5 - 0.5 * np.einsum("kn,kn->n", v[:-1, :], v[1:, :])
+    rows = []
+    for tau in taus:
+        w = np.exp(-(energies - energies[0]) / max(tau, 1e-6))
+        if tau < 1e-6:
+            w[1:] = 0.0
+        w = w / w.sum()
+        rows.append((w @ energies, w @ s_diag))
+    return np.array(rows).T
 
 
 # Straddles the ground-state shortcut at tau = 1e-6 and reaches the
@@ -193,6 +217,29 @@ class TestColumnAverages:
             single = pendulum_stroke_averages(lam, tau, tol)
             assert (e_avg[k], s_avg[k], cutoff[k]) == single
             assert single == _per_tau_reference(lam, tau, tol)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 37.5, 861.8547639571464])
+    @pytest.mark.parametrize("cutoff", [32, 64, 128, 256])
+    def test_parity_blocks_equal_full_matrix(self, lam, cutoff):
+        # The blocks are an exact change of basis; they differ from the full
+        # matrix by round-off, bounded as in the doubling certificate.
+        taus = np.array(_COLUMN_TAUS)
+        got = qelectric._column_at(lam, taus, cutoff)
+        full = _full_matrix_column(lam, taus, cutoff)
+        bound = 8.0 * np.finfo(float).eps * (0.5 * cutoff * cutoff + 1.5 * lam)
+        assert np.abs(got - full).max() <= bound
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 20.0, 200.0])
+    def test_parity_blocks_are_mathieu_families(self, lam):
+        # H = L_z^2/2 + lambda sin^2(alpha/2) with alpha = 2z is Mathieu's
+        # equation at q = 2 lambda, a = 8E - 4 lambda (DLMF 28.2): the even
+        # block holds a_2n, the odd block b_2n+2.
+        from scipy.special import mathieu_a, mathieu_b
+
+        even, odd = (eigensolve_sym_tridiagonal(h, want_vectors=False) for h in qelectric._parity_blocks(lam, 64))
+        n = np.arange(5)
+        assert np.abs(even.eigenvalues[:5] - (mathieu_a(2 * n, 2 * lam) + 4 * lam) / 8).max() < 1e-12
+        assert np.abs(odd.eigenvalues[:5] - (mathieu_b(2 * n + 2, 2 * lam) + 4 * lam) / 8).max() < 1e-12
 
     @pytest.mark.parametrize("lam", [0.0, 2.0, 861.8547639571464])
     def test_continuous_across_ground_state_shortcut(self, lam):
@@ -221,9 +268,10 @@ class TestColumnAverages:
             pendulum_column_averages(1.0, [1.0], 0.0)
 
     def test_sweep_eigensolves_do_not_grow_with_n_tau(self, monkeypatch):
-        # One spectrum per lambda_h column and cutoff: a 5 x 200 sweep makes
-        # at most 8 eigensolves per column, hot and cold strokes included,
-        # where doubling each cell on its own takes at least two per cell.
+        # One spectrum (two parity-block solves) per lambda_h column and
+        # cutoff: a 5 x 200 sweep makes at most 8 eigensolves per column, hot
+        # and cold strokes included, where doubling each cell on its own
+        # takes at least four per cell.
         calls = []
 
         def counting(h, want_vectors):

@@ -370,7 +370,14 @@ class TestSerialization:
         (lambda doc: doc["cells"].pop(), "cannot reshape array of size 8 into shape (3,3)"),
         (lambda doc: doc["cells"][4].pop("w"), "KeyError: 'w'"),
         (lambda doc: doc["cells"][4].update(mode="Turbine"), "unknown mode 'Turbine'"),
-    ], ids=["too few cells", "missing key", "unknown mode"])
+        (lambda doc: doc["cells"][4].update(lambda_h=99.0), "cell 4: lambda_h is 99.0, the spec's is 2.5"),
+        (lambda doc: doc["cells"][4].update(machine="magnetic"),
+         "cell 4: machine is 'magnetic', the spec's is 'electric'"),
+        (lambda doc: doc["cells"][1].update(tau_h=True), "cell 1: tau_h is True, the spec's is 1.0"),
+        (lambda doc: doc["cells"][4].update(q_c="0.5"), "cell 4: q_c is '0.5', not a number"),
+        (lambda doc: doc["cells"][8].update(cop="inf"), "cell 8: cop is 'inf', not a number"),
+    ], ids=["too few cells", "missing key", "unknown mode", "foreign lambda_h", "foreign machine",
+            "bool tau_h", "string heat", "string cop"])
     def test_malformed_json_rejected_with_path(self, edit, message, tmp_path):
         path = tmp_path / "grid.json"
         write_json(run_sweep(small_spec(lambda_h_range=(1.0, 4.0, 3), tau_h_range=(1.0, 3.0, 3))), path)
