@@ -22,10 +22,16 @@ oracles.
 
 The spectrum does not depend on tau: a sweep diagonalizes H(lambda) once per
 lambda_h column and per basis cutoff M, and forms the averages of every tau_h
-of that column from it; the cold stroke is solved once per sweep.  M is
-doubled from 32 until the averages are stationary; each tau carries its own
-doubling certificate, so convergence is certified a posteriori per tau, not
-assumed.
+of that column from it; the cold stroke is solved once per sweep.  One solve
+usually certifies a tau on its own, by two bounds.  In the infinite operator
+a kept level n has the residual r_n = (lambda/4)|v_n[M]|, so a true level
+lies within r_n of it (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
+Since V = lambda sin^2(alpha/2) >= 0, min-max puts the levels above the
+cutoff at or above the free-rotor levels m^2/2, |m| > M, whose Boltzmann
+tail has a closed form.  M starts at the first cutoff of the ladder 32 * 2^k
+where that tail can be below tol, and a tau whose bounds fail is solved
+again at twice the cutoff.  scipy.linalg.lapack is imported by the first
+solve, so a process that runs no pendulum never loads it.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg.lapack
-from scipy.special import logsumexp
 
 from .cycle import heats
 from .units import (
@@ -100,6 +104,8 @@ def eigensolve_sym_tridiagonal(
     selects for a full spectrum, called directly: at the cutoffs most strokes
     certify at (M = 32, 64) that wrapper's argument checks add 15-30% to a solve.
     """
+    import scipy.linalg.lapack
+
     if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
         raise DomainError("tridiagonal Hamiltonian has non-finite entries")
     vals, vecs, info = scipy.linalg.lapack.dstevd(h.diag, h.offdiag, compute_v=want_vectors)
@@ -121,13 +127,39 @@ def _parity_blocks(lam: float, cutoff: int) -> tuple[TridiagonalHamiltonian, Tri
             TridiagonalHamiltonian(diag=diag[1:], offdiag=offdiag[1:], cutoff_m=cutoff, lam=lam))
 
 
-def _column_at(lam: float, taus: np.ndarray, cutoff: int) -> np.ndarray:
-    """(<H>, <S>) rows in the Gibbs states of H(lambda) at each tau, at fixed cutoff.
+def _free_rotor_tail(cutoff: int, taus: np.ndarray, e0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the Boltzmann weight and energy of the levels above cutoff M.
+
+    The levels of H beyond the first 2M + 1 lie at or above the free-rotor
+    levels m^2/2, |m| > M.  With a = M + 1, m = a + k and m^2/2 >= a^2/2 + a k,
+    their weights relative to a ground level e0 sum to at most
+    2 e^{-(a^2/2 - e0)/tau} / (1 - q), q = e^{-a/tau}; as y e^{-y/tau} falls
+    for y >= tau, their energies sum to at most
+    2 e^{-(a^2/2 - e0)/tau} (a^2/2 / (1 - q) + a q / (1 - q)^2).  Both bounds
+    are infinite where a^2/2 < tau or a^2/2 < e0.
+    """
+    a = cutoff + 1.0
+    edge = 0.5 * a * a  # the lowest free-rotor level above the cutoff
+    tau = np.maximum(taus, _GROUND_STATE_TAU)
+    valid = (edge >= tau) & (edge >= e0)
+    tau = np.minimum(tau, edge)  # keeps the invalid entries finite
+    one_minus_q = -np.expm1(-a / tau)
+    head = 2.0 * np.exp(min(e0 - edge, 0.0) / tau) / one_minus_q
+    mass = np.where(valid, head, np.inf)
+    energy = np.where(valid, head * (edge + a * (1.0 - one_minus_q) / one_minus_q), np.inf)
+    return mass, energy
+
+
+def _column_at(lam: float, taus: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(<H>, <S>) rows at each tau at fixed cutoff, and bounds on their errors.
 
     One eigensolve per parity block serves every tau; a tau below
     _GROUND_STATE_TAU takes the ground state, the even block's first level,
-    only.  Each tau is averaged by its own 1-D dot product, so its averages
-    do not depend on which other taus share the call.
+    only.  One einsum averages every tau, reducing each tau's row on its
+    own, so its averages do not depend on which other taus share the call.
+    The error bound of <H> is the weighted residual sum_n w_n r_n plus the
+    free-rotor energy tail, that of <S> (0 <= S <= 1) the same residual plus
+    the tail's weight.
     """
     even, odd = (eigensolve_sym_tridiagonal(h, want_vectors=True) for h in _parity_blocks(lam, cutoff))
     energies = np.concatenate((even.eigenvalues, odd.eigenvalues))
@@ -136,45 +168,55 @@ def _column_at(lam: float, taus: np.ndarray, cutoff: int) -> np.ndarray:
     overlaps = [np.einsum("kn,kn->n", v[:-1, :], v[1:, :]) for v in (even.eigenvectors, odd.eigenvectors)]
     overlaps[0] += (_SQRT2 - 1.0) * even.eigenvectors[0] * even.eigenvectors[1]
     s_diag = 0.5 - 0.5 * np.concatenate(overlaps)
+    # Each block's last row, m = M, couples to m = M + 1 by -lambda/4.
+    residual = 0.25 * lam * np.abs(np.concatenate((even.eigenvectors[-1], odd.eigenvectors[-1])))
     # Boltzmann weights relative to the ground state (avoids underflow).
     w = np.exp(-(energies - energies[0]) / np.maximum(taus, _GROUND_STATE_TAU)[:, None])
     w[taus < _GROUND_STATE_TAU, 1:] = 0.0
     w /= w.sum(axis=1, keepdims=True)
-    return np.array([(row @ energies, row @ s_diag) for row in w]).T
+    e_avg, s_avg, res = np.einsum("tn,kn->kt", w, np.stack((energies, s_diag, residual)))
+    tail_mass, tail_energy = _free_rotor_tail(cutoff, taus, energies[0])
+    return np.array((e_avg, s_avg)), np.array((res + tail_energy, res + tail_mass))
 
 
 def pendulum_column_averages(
     lam: float, taus, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(<H>[], <S>[], certified cutoff[]) at every tau, with cutoff doubling from 32.
+    """(<H>[], <S>[], certified cutoff[]) at every tau, usually from one solve.
 
-    The spectrum at each cutoff M is computed once for all taus.  Each tau
-    keeps doubling until both of its averages change by less than tol, or by
-    less than their round-off 8 eps (M^2/2 + 3 lambda/2) at the larger M,
-    which bounds the spectral norm of H (a tighter tol would double on noise
-    alone); a tau that has passed is not evaluated at larger M.  Raises
-    ConvergenceError, naming the first tau left uncertified, past M = 2^15.
+    A tau is certified at cutoff M when the error bounds of both its averages
+    (_column_at) are below tol, or below their round-off
+    8 eps (M^2/2 + 3 lambda/2), which bounds the spectral norm of H (a tighter
+    tol could never be met).  Each tau walks the ladder M = 32 * 2^k from the
+    first cutoff where its free-rotor energy tail, taken above a ground level
+    of 0, is below that bound; a tau whose bounds fail is evaluated again at
+    twice the cutoff, and one that passed is not evaluated at larger M.  So a
+    tau's cutoff and averages do not depend on the other taus of the call.
+    Raises ConvergenceError, naming the first tau left uncertified, when
+    M = 2^15 does not certify it.
     """
     lam = validate_control(lam, require_nonnegative=True)
     taus = np.array([validate_temperature(tau) for tau in np.ravel(taus).tolist()])
     validate_tolerance(tol)
     averages = np.empty((2, len(taus)))
     certified = np.zeros(len(taus), dtype=int)
-    open_ = np.arange(len(taus))  # taus not yet certified
+    pending = np.ones(len(taus), dtype=bool)
     cutoff = _INITIAL_CUTOFF
-    prev = _column_at(lam, taus, cutoff)
-    while cutoff <= _MAX_CUTOFF:
-        cutoff *= 2
-        cur = _column_at(lam, taus[open_], cutoff)
-        # Written for every open tau; a tau's last write is at its certified cutoff.
-        averages[:, open_], certified[open_] = cur, cutoff
+    while pending.any() and cutoff <= _MAX_CUTOFF:
         bound = max(tol, 8.0 * _EPS * (0.5 * cutoff * cutoff + 1.5 * lam))
-        pending = ~(np.abs(cur - prev) < bound).all(axis=0)
-        open_, prev = open_[pending], cur[:, pending]
-        if not len(open_):
-            return averages[0], averages[1], certified
+        # The true ground level is >= 0, so a tau failing this cannot pass at M.
+        due = np.flatnonzero(pending)
+        due = due[_free_rotor_tail(cutoff, taus[due], 0.0)[1] < bound]
+        if len(due):
+            cur, err = _column_at(lam, taus[due], cutoff)
+            passed = (err < bound).all(axis=0)
+            averages[:, due[passed]], certified[due[passed]] = cur[:, passed], cutoff
+            pending[due[passed]] = False
+        cutoff *= 2
+    if not pending.any():
+        return averages[0], averages[1], certified
     raise ConvergenceError(
-        f"stroke averages not converged at lambda={lam}, tau={taus[open_[0]]} "
+        f"stroke averages not converged at lambda={lam}, tau={taus[pending][0]} "
         f"up to M={_MAX_CUTOFF}"
     )
 
@@ -207,5 +249,6 @@ def log_partition_pendulum(lam: float, tau: float, cutoff_m: int) -> float:
     """ln Z of the truncated pendulum spectrum (absolute energies)."""
     tau = validate_temperature(tau)
     h = build_pendulum_hamiltonian(lam, cutoff_m)
-    spec = eigensolve_sym_tridiagonal(h, want_vectors=False)
-    return float(logsumexp(-spec.eigenvalues / tau))
+    x = -eigensolve_sym_tridiagonal(h, want_vectors=False).eigenvalues / tau
+    top = x.max()
+    return float(top + np.log(np.exp(x - top).sum()))

@@ -2,7 +2,9 @@
 
 The ratio I1/I0 is taken from scipy's exponentially scaled Bessel functions
 i1e/i0e, whose common factor e^(-x) cancels, so it neither overflows nor
-loses precision at large argument.  theta_3 is an oracle for the magnetic
+loses precision at large argument.  scipy.special is imported on the first
+call: only the classical electric machine needs it, and a magnetic process
+never loads it.  theta_3 is an oracle for the magnetic
 partition function.  All routines are pure and thread-safe.
 """
 
@@ -11,13 +13,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import i0e, i1e
 
 from .units import ConvergenceError, DomainError
 
 
 def bessel_ratio_i1_i0(x):
     """I1(x)/I0(x) in [0, 1) for x >= 0, elementwise over an array or a float."""
+    from scipy.special import i0e, i1e
+
     x = np.asarray(x, dtype=float)
     bad = ~((x >= 0.0) & (x < math.inf))
     if bad.any():

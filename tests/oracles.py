@@ -8,7 +8,7 @@ Neither route shares code with ``rotor_otto``:
 - ``dense_quartet_electric`` builds the pendulum Hamiltonian as a dense
   matrix in the momentum basis and takes the traces Tr[rho_j H_i] directly,
   without the H_i = H_j + (lambda_i - lambda_j) S identity or the cutoff
-  doubling of the production path; ``dense_heats_electric`` forms the
+  certificate of the production path; ``dense_heats_electric`` forms the
   cycle's heats from those traces;
 - ``potential_average_mp`` integrates the classical pendulum's angular
   average <sin^2(alpha/2)> at 30 significant digits (mpmath.quad), with the

@@ -241,13 +241,49 @@ class TestSelftestCommand:
         assert "error: seed must be a non-negative integer, got -1" in err
 
 
+HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.fft")
+
+
+def scipy_loaded_after(argvs):
+    """The scipy modules loaded once a fresh interpreter has run cli.main on each argv."""
+    src = os.path.dirname(os.path.dirname(rotor_otto.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import contextlib, io, sys\n"
+        "from rotor_otto import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return result.stdout.split()
+
+
+def cycle_argv(machine, model):
+    lambda_h, lambda_c, tau_h, tau_c = {"electric": ("3", "1", "4", "1"), "magnetic": ("0.25", "0.485", "1", "0.001")}[machine]
+    return ["cycle", "--machine", machine, "--model", model, "--lambda-h", lambda_h, "--lambda-c", lambda_c,
+            "--tau-h", tau_h, "--tau-c", tau_c]
+
+
 class TestImportBudget:
     def test_cli_leaves_heavy_scipy_subpackages_unloaded(self):
         # The CLI uses scipy only through scipy.linalg.lapack and
         # scipy.special; scipy.integrate alone pulls in the other four.
-        heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.fft")
-        src = os.path.dirname(os.path.dirname(rotor_otto.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = f"import sys, rotor_otto.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.split() == []
+        assert not set(scipy_loaded_after([])) & set(HEAVY_SCIPY)
+
+    def test_magnetic_commands_load_no_scipy(self, tmp_path):
+        grid = ["--machine", "magnetic", "--model", "quantum",
+                "--lambda-h-min", "0.1", "--lambda-h-max", "0.4", "--lambda-h-count", "4",
+                "--tau-h-min", "0.2", "--tau-h-max", "2", "--tau-h-count", "3",
+                "--lambda-c", "0.485", "--tau-c", "0.001"]
+        argvs = [cycle_argv("magnetic", model) for model in ("classical", "quantum")]
+        argvs += [["sweep", *grid, "--out", str(tmp_path / f"grid.{fmt}"), "--format", fmt] for fmt in ("csv", "json")]
+        argvs.append(["momentum", "--lambda-min", "0", "--lambda-max", "1", "--lambda-count", "5", "--tau", "0.1"])
+        argvs.append(["optimum", *grid[4:]])
+        assert scipy_loaded_after(argvs) == []
+
+    def test_electric_cycles_load_only_special_and_lapack(self):
+        loaded = scipy_loaded_after([cycle_argv("electric", model) for model in ("classical", "quantum")])
+        assert {"scipy.special", "scipy.linalg.lapack"} <= set(loaded)
+        assert not set(loaded) & set(HEAVY_SCIPY)

@@ -139,12 +139,14 @@ class TestStrokeAverages:
 
     def test_round_off_stops_the_doubling(self):
         # At lambda_h ~ 862 the quartet's per-stroke tol (1e-10 / 862) lies
-        # below the round-off of <H>, which already agrees to 1.5e-13 between
-        # M = 32 and 64; the doubling must stop there, not run on noise.
+        # below the round-off of <H>, 5.9e-12 at M = 64, where the error bounds
+        # are 3e-24; no tolerance, however far below round-off, may push the
+        # cutoff past 64.
         p = CyclePoint(861.8547639571464, 0.011012854772924286, 12.348369624337156, 1.8480060611326552)
         stroke_tol = 1e-10 / (1.0 + abs(p.lambda_h - p.lambda_c))
         e_h, _, cutoff = pendulum_stroke_averages(p.lambda_h, p.tau_h, stroke_tol)
         assert cutoff == 64
+        assert pendulum_stroke_averages(p.lambda_h, p.tau_h, 1e-300)[2] == 64
         e_c = pendulum_stroke_averages(p.lambda_c, p.tau_c, stroke_tol)[0]
         r = evaluate_point("electric", "quantum", p)
         dense = dense_heats_electric(p.lambda_h, p.lambda_c, p.tau_h, p.tau_c)
@@ -154,36 +156,40 @@ class TestStrokeAverages:
 
 
 def _parity_block_levels(lam, cutoff):
-    """(energies, <n|S|n>) of the even block (m = 0..cutoff), then the odd block (m = 1..cutoff)."""
-    energies, s_diag = [], []
+    """(energies, <n|S|n>, |v_n[M]|) of the even block (m = 0..cutoff), then the odd block (m = 1..cutoff)."""
+    energies, s_diag, last = [], [], []
     for h, c0 in zip(qelectric._parity_blocks(lam, cutoff), (math.sqrt(2.0), 1.0)):
         spec = eigensolve_sym_tridiagonal(h, want_vectors=True)
         v = spec.eigenvectors
         energies.append(spec.eigenvalues)
         s_diag.append(np.einsum("kn,kn->n", v[:-1, :], v[1:, :]) + (c0 - 1.0) * v[0] * v[1])
-    return np.concatenate(energies), 0.5 - 0.5 * np.concatenate(s_diag)
+        last.append(np.abs(v[-1]))
+    return np.concatenate(energies), 0.5 - 0.5 * np.concatenate(s_diag), np.concatenate(last)
 
 
 def _per_tau_reference(lam, tau, tol):
-    """(<H>, <S>, cutoff) by one pair of parity-block eigensolves per cutoff for this tau alone.
+    """(<H>, <S>, cutoff) for this tau alone, certified term by term.
 
-    The per-tau loop that pendulum_column_averages replaces, kept as the
-    reference: same arithmetic, so the results must agree bit for bit.
+    Walks the cutoffs 32, 64, ... and stops at the first where the weighted
+    residual sum_n w_n (lambda/4)|v_n[M]| plus the free-rotor tail, summed
+    over |m| > M term by term instead of the closed form, is below
+    max(tol, round-off) for both averages.
     """
-    prev, cutoff = None, 32
-    while cutoff <= 1 << 16:
-        energies, s_diag = _parity_block_levels(lam, cutoff)
+    cutoff = 32
+    while cutoff <= 1 << 15:
+        energies, s_diag, last = _parity_block_levels(lam, cutoff)
+        t = max(tau, 1e-6)
+        w = np.exp(-(energies - energies[0]) / t)
         if tau < 1e-6:
-            w = np.zeros_like(energies)
-            w[0] = 1.0
-        else:
-            w = np.exp(-(energies - energies[0]) / tau)
-            w = w / w.sum()
-        cur = (float(w @ energies), float(w @ s_diag))
+            w[1:] = 0.0
+        w = w / w.sum()
+        residual = w @ (0.25 * lam * last)
+        m = np.arange(cutoff + 1, cutoff + 2 + int(math.sqrt(2.0 * (abs(energies[0]) + 800.0 * t))), dtype=float)
+        terms = 2.0 * np.exp(-(0.5 * m * m - energies[0]) / t)
         bound = max(tol, 8.0 * np.finfo(float).eps * (0.5 * cutoff * cutoff + 1.5 * lam))
-        if prev is not None and abs(cur[0] - prev[0]) < bound and abs(cur[1] - prev[1]) < bound:
-            return cur + (cutoff,)
-        prev, cutoff = cur, 2 * cutoff
+        if residual + terms.sum() < bound and residual + terms @ (0.5 * m * m) < bound:
+            return float(w @ energies), float(w @ s_diag), cutoff
+        cutoff *= 2
     raise AssertionError("reference did not converge")
 
 
@@ -216,15 +222,18 @@ class TestColumnAverages:
         for k, tau in enumerate(_COLUMN_TAUS):
             single = pendulum_stroke_averages(lam, tau, tol)
             assert (e_avg[k], s_avg[k], cutoff[k]) == single
-            assert single == _per_tau_reference(lam, tau, tol)
+            e_ref, s_ref, cutoff_ref = _per_tau_reference(lam, tau, tol)
+            assert cutoff[k] == cutoff_ref
+            bound = 8.0 * np.finfo(float).eps * (0.5 * cutoff_ref**2 + 1.5 * lam)
+            assert abs(e_avg[k] - e_ref) <= bound and abs(s_avg[k] - s_ref) <= bound
 
     @pytest.mark.parametrize("lam", [0.0, 2.0, 37.5, 861.8547639571464])
     @pytest.mark.parametrize("cutoff", [32, 64, 128, 256])
     def test_parity_blocks_equal_full_matrix(self, lam, cutoff):
         # The blocks are an exact change of basis; they differ from the full
-        # matrix by round-off, bounded as in the doubling certificate.
+        # matrix by round-off, bounded as in the certificate.
         taus = np.array(_COLUMN_TAUS)
-        got = qelectric._column_at(lam, taus, cutoff)
+        got, _ = qelectric._column_at(lam, taus, cutoff)
         full = _full_matrix_column(lam, taus, cutoff)
         bound = 8.0 * np.finfo(float).eps * (0.5 * cutoff * cutoff + 1.5 * lam)
         assert np.abs(got - full).max() <= bound
@@ -253,8 +262,17 @@ class TestColumnAverages:
         ).eigenvalues[0]
         assert e_avg[below] == pytest.approx(ground, abs=1e-10)
 
+    def test_tail_bound_guards_what_the_residual_misses(self):
+        # At lambda = 1, tau = 5000 the weighted residual is 1.2e-14 at
+        # M = 512, yet the levels above that cutoff still hold 5.7e-8 of <H>;
+        # the free-rotor tail bound (1.0e-5 there) must push the cutoff on.
+        e_avg, s_avg, _ = pendulum_column_averages(1.0, [5000.0], 1e-10)
+        (e_ref,), (s_ref,) = qelectric._column_at(1.0, np.array([5000.0]), 2048)[0]
+        assert abs(e_avg[0] - e_ref) < 1e-10
+        assert abs(s_avg[0] - s_ref) < 1e-10
+
     def test_unconverged_column_names_lambda_and_first_open_tau(self, monkeypatch):
-        # Cap the doubling below the cutoff the warm taus need.
+        # Cap the cutoff ladder below the cutoff the warm taus need.
         monkeypatch.setattr(qelectric, "_MAX_CUTOFF", 32)
         with pytest.raises(ConvergenceError, match=r"lambda=2\.0, tau=40\.0 up to M=32"):
             pendulum_column_averages(2.0, [0.05, 40.0, 300.0], 1e-12)
