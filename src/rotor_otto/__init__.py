@@ -1,25 +1,7 @@
 """Ideal Otto cycles with a classical or quantum planar rotor working medium."""
 
-from .classical import (
-    classical_engine_condition_electric,
-    classical_fridge_condition_electric,
-    classical_mean_energy_electric,
-    classical_mean_energy_magnetic,
-)
-from .cycle import CycleReport, carnot_bound
-from .qelectric import (
-    SpectralData,
-    TridiagonalHamiltonian,
-    build_pendulum_hamiltonian,
-    eigensolve_sym_tridiagonal,
-)
-from .qmagnetic import (
-    MomentumStats,
-    epsilon_fourier,
-    momentum_stats,
-    optimal_work_scan,
-    quantum_partition_magnetic_theta,
-)
+from .cycle import CycleReport
+from .qmagnetic import optimal_work_scan
 from .sweep import (
     SweepGrid,
     SweepSpec,
@@ -34,31 +16,18 @@ from .sweep import (
 from .units import ConvergenceError, CyclePoint, DomainError
 
 __all__ = [
-    "ConvergenceError",
     "CyclePoint",
     "CycleReport",
-    "DomainError",
-    "MomentumStats",
-    "SpectralData",
-    "SweepGrid",
     "SweepSpec",
-    "TridiagonalHamiltonian",
-    "build_pendulum_hamiltonian",
-    "carnot_bound",
-    "classical_engine_condition_electric",
-    "classical_fridge_condition_electric",
-    "classical_mean_energy_electric",
-    "classical_mean_energy_magnetic",
-    "eigensolve_sym_tridiagonal",
-    "epsilon_fourier",
+    "SweepGrid",
     "evaluate_point",
+    "run_sweep",
     "extract_boundaries",
     "momentum_curve",
-    "momentum_stats",
     "optimal_work_scan",
-    "quantum_partition_magnetic_theta",
     "read_json",
-    "run_sweep",
     "write_csv",
     "write_json",
+    "DomainError",
+    "ConvergenceError",
 ]

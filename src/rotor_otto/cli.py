@@ -87,8 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_cycle(args) -> int:
     point = CyclePoint(args.lambda_h, args.lambda_c, args.tau_h, args.tau_c)
     report = sweep.evaluate_point(args.machine, args.model, point, tol=args.tol)
-    json.dump(report.to_json_dict(), sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(report.to_json() + "\n")
     return EXIT_OK
 
 
@@ -135,16 +134,7 @@ def _cmd_optimum(args) -> int:
         (args.lambda_h_min, args.lambda_h_max, args.lambda_h_count),
         (args.tau_h_min, args.tau_h_max, args.tau_h_count),
     )
-    json.dump(
-        {
-            "lambda_h": point.lambda_h,
-            "lambda_c": point.lambda_c,
-            "tau_h": point.tau_h,
-            "tau_c": point.tau_c,
-            "w_min": w_min,
-        },
-        sys.stdout,
-    )
+    json.dump(point.to_dict() | {"w_min": w_min}, sys.stdout)
     sys.stdout.write("\n")
     return EXIT_OK
 

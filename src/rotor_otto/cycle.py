@@ -20,6 +20,7 @@ package documentation.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 
@@ -57,9 +58,10 @@ class CycleReport:
         """The report as one flat dict, keys in JSON_KEYS order."""
         return {key: getattr(self, key) for key in _FIELD_KEYS} | self.point.to_dict()
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CycleReport":
-        return cls(*(d[key] for key in _FIELD_KEYS), point=CyclePoint.from_dict(d))
+    def to_json(self) -> str:
+        """to_json_dict as one JSON object, the text of json.dumps with floats by json_float."""
+        return "{" + ", ".join(f'"{key}": {json_float(v) if type(v) is float else json.dumps(v)}'
+                               for key, v in self.to_json_dict().items()) + "}"
 
 
 # The JSON schema of a report, and so of a sweep file's cells: the report's
@@ -68,9 +70,13 @@ _FIELD_KEYS = tuple(f.name for f in fields(CycleReport) if f.name != "point")
 JSON_KEYS = _FIELD_KEYS + tuple(f.name for f in fields(CyclePoint))
 
 
-def carnot_bound(point: CyclePoint) -> float:
-    """1 - tau_c/tau_h, the efficiency ceiling used as a sanity check."""
-    return 1.0 - point.tau_c / point.tau_h
+def json_float(x: float) -> str:
+    """JSON text of a float: its shortest round-trip repr, and 1e999 for inf.
+
+    json.dumps writes an infinity as the token Infinity, which RFC 8259
+    parsers reject; 1e999 is valid number syntax and reads back as inf.
+    """
+    return repr(x) if math.isfinite(x) else json.dumps(x).replace("Infinity", "1e999")
 
 
 def check_tags(machine: str, model: str) -> None:

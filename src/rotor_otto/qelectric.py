@@ -17,8 +17,7 @@ off-diagonal -lambda/4.  With q = 2 lambda these are Mathieu's two families
 of period 2 pi in alpha, E = (a_2n(q) + 4 lambda)/8 for the even block and
 (b_2n+2(q) + 4 lambda)/8 for the odd one (DLMF 28.2, 28.4).  Each stroke
 solves both blocks, with about half the eigenvector memory of the full
-(2M + 1) matrix; build_pendulum_hamiltonian keeps the full matrix for the
-oracles.
+(2M + 1) matrix, which only the oracles of selftest build.
 
 The spectrum does not depend on tau: a sweep diagonalizes H(lambda) once per
 lambda_h column and per basis cutoff M, and forms the averages of every tau_h
@@ -61,12 +60,11 @@ _SQRT2 = float(np.sqrt(2.0))
 
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
-    """Pendulum Hamiltonian in the momentum basis m = -M..M (units of E)."""
+    """Pendulum Hamiltonian at cutoff M (units of E): a parity block, or the full m = -M..M matrix."""
 
-    diag: np.ndarray      # m^2/2 + lambda/2, length 2M+1
-    offdiag: np.ndarray   # -lambda/4, length 2M
+    diag: np.ndarray      # m^2/2 + lambda/2
+    offdiag: np.ndarray   # -lambda/4; -sqrt(2) lambda/4 first in the even block
     cutoff_m: int
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -74,31 +72,12 @@ class SpectralData:
     """Truncated spectrum of a pendulum Hamiltonian at fixed lambda."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    eigenvectors: np.ndarray  # column n belongs to eigenvalues[n]
     cutoff_m: int
 
-    def orthonormality_residual(self) -> float:
-        if self.eigenvectors is None:
-            raise DomainError("no eigenvectors stored")
-        v = self.eigenvectors
-        return float(np.abs(v.T @ v - np.eye(v.shape[1])).max())
 
-
-def build_pendulum_hamiltonian(lam: float, cutoff_m: int) -> TridiagonalHamiltonian:
-    """Tridiagonal matrix of H(lambda) truncated at |m| <= cutoff_m."""
-    lam = validate_control(lam, require_nonnegative=True)
-    if cutoff_m < 1:
-        raise DomainError(f"cutoff_m must be >= 1, got {cutoff_m}")
-    m = np.arange(-cutoff_m, cutoff_m + 1, dtype=float)
-    diag = 0.5 * m * m + 0.5 * lam
-    offdiag = np.full(2 * cutoff_m, -0.25 * lam)
-    return TridiagonalHamiltonian(diag=diag, offdiag=offdiag, cutoff_m=cutoff_m, lam=lam)
-
-
-def eigensolve_sym_tridiagonal(
-    h: TridiagonalHamiltonian, want_vectors: bool
-) -> SpectralData:
-    """All eigenvalues, ascending (and optionally orthonormal eigenvectors), of h.
+def eigensolve_sym_tridiagonal(h: TridiagonalHamiltonian) -> SpectralData:
+    """All eigenvalues, ascending, and orthonormal eigenvectors of h.
 
     LAPACK dstevd (divide and conquer), the driver scipy.linalg.eigh_tridiagonal
     selects for a full spectrum, called directly: at the cutoffs most strokes
@@ -108,12 +87,10 @@ def eigensolve_sym_tridiagonal(
 
     if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
         raise DomainError("tridiagonal Hamiltonian has non-finite entries")
-    vals, vecs, info = scipy.linalg.lapack.dstevd(h.diag, h.offdiag, compute_v=want_vectors)
+    vals, vecs, info = scipy.linalg.lapack.dstevd(h.diag, h.offdiag)
     if info != 0:
         raise ConvergenceError(f"tridiagonal eigensolve failed: LAPACK dstevd info={info}")
-    return SpectralData(
-        eigenvalues=vals, eigenvectors=vecs if want_vectors else None, cutoff_m=h.cutoff_m
-    )
+    return SpectralData(eigenvalues=vals, eigenvectors=vecs, cutoff_m=h.cutoff_m)
 
 
 def _parity_blocks(lam: float, cutoff: int) -> tuple[TridiagonalHamiltonian, TridiagonalHamiltonian]:
@@ -123,8 +100,8 @@ def _parity_blocks(lam: float, cutoff: int) -> tuple[TridiagonalHamiltonian, Tri
     offdiag = np.full(cutoff, -0.25 * lam)
     even_offdiag = offdiag.copy()
     even_offdiag[0] *= _SQRT2
-    return (TridiagonalHamiltonian(diag=diag, offdiag=even_offdiag, cutoff_m=cutoff, lam=lam),
-            TridiagonalHamiltonian(diag=diag[1:], offdiag=offdiag[1:], cutoff_m=cutoff, lam=lam))
+    return (TridiagonalHamiltonian(diag=diag, offdiag=even_offdiag, cutoff_m=cutoff),
+            TridiagonalHamiltonian(diag=diag[1:], offdiag=offdiag[1:], cutoff_m=cutoff))
 
 
 def _free_rotor_tail(cutoff: int, taus: np.ndarray, e0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +138,7 @@ def _column_at(lam: float, taus: np.ndarray, cutoff: int) -> tuple[np.ndarray, n
     free-rotor energy tail, that of <S> (0 <= S <= 1) the same residual plus
     the tail's weight.
     """
-    even, odd = (eigensolve_sym_tridiagonal(h, want_vectors=True) for h in _parity_blocks(lam, cutoff))
+    even, odd = (eigensolve_sym_tridiagonal(h) for h in _parity_blocks(lam, cutoff))
     energies = np.concatenate((even.eigenvalues, odd.eigenvalues))
     # <n|S|n> = 1/2 - (1/2) sum_k c_k v_k v_{k+1} for S = H'(lambda) (diag 1/2,
     # offdiag -1/4), with c_0 = sqrt(2) in the even block and c_k = 1 otherwise.
@@ -243,12 +220,3 @@ def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float, tol: float = 
     e_h, s_h = np.array([pendulum_column_averages(lam, tau_h, tol / (1.0 + abs(lam - lam_c)))[:2]
                          for lam in lam_h.tolist()]).transpose(1, 2, 0)
     return heats(e_h, e_c + dlam * s_c, e_h - dlam * s_h, e_c)
-
-
-def log_partition_pendulum(lam: float, tau: float, cutoff_m: int) -> float:
-    """ln Z of the truncated pendulum spectrum (absolute energies)."""
-    tau = validate_temperature(tau)
-    h = build_pendulum_hamiltonian(lam, cutoff_m)
-    x = -eigensolve_sym_tridiagonal(h, want_vectors=False).eigenvalues / tau
-    top = x.max()
-    return float(top + np.log(np.exp(x - top).sum()))

@@ -2,11 +2,10 @@
 
 The Hamiltonian H(lambda) = L_z^2/2 - lambda L_z is diagonal in the
 angular-momentum basis with eigenvalues m(m - 2 lambda)/2, m integer.
-The production path for all moments is the direct truncated Boltzmann sum
-over m, taken in the offset k = m - round(lambda)
-(momentum_moments); the theta-function and Fourier forms below are
-verification oracles and a fast path for the deviation epsilon at moderate
-tau.
+Every moment is the direct truncated Boltzmann sum over m, taken in the
+offset k = m - round(lambda) (momentum_moments).  Its oracles live outside
+this module: the theta-function form of ln Z in selftest, the Fourier
+series of epsilon in the test suite.
 
 epsilon(lambda, tau) = <L_z> - lambda is the genuinely quantum deviation of
 the thermal mean momentum from the classical value: bounded by 1/2, zero at
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import jacobi_theta3
 from .units import (
     ConvergenceError,
     CyclePoint,
@@ -92,14 +90,6 @@ def momentum_moments(lam, tau: float):
     return mu, nu, log_z, k.size
 
 
-def quantum_partition_magnetic_theta(lam: float, tau: float) -> float:
-    """ln Z via Poisson summation: sqrt(2 pi tau) e^(lambda^2/2tau) theta_3."""
-    lam = validate_control(lam)
-    tau = validate_temperature(tau)
-    theta = jacobi_theta3(-math.pi * lam, -2.0 * math.pi**2 * tau)
-    return 0.5 * math.log(2.0 * math.pi * tau) + lam * lam / (2.0 * tau) + math.log(theta)
-
-
 def momentum_stats(lam: float, tau: float) -> MomentumStats:
     """Thermal mean, second moment and variance of L_z at one (lambda, tau)."""
     lam = validate_control(lam)
@@ -113,34 +103,6 @@ def momentum_stats(lam: float, tau: float) -> MomentumStats:
         log_partition=log_z,
         terms_used=int(terms),
     )
-
-
-def epsilon_fourier(lam: float, tau: float, n_max: int | None = None) -> float:
-    """Fourier-series evaluation of the momentum deviation epsilon.
-
-    epsilon = sum_{n>=1} (-1)^n [2 pi tau / sinh(2 pi^2 n tau)] sin(2 pi n lambda).
-
-    With n_max=None the series is truncated once the coefficient magnitude
-    drops below 1e-15; if that does not happen within 1e5 terms (very small
-    tau), the direct Boltzmann sum is used instead.
-    """
-    lam = validate_control(lam)
-    tau = validate_temperature(tau)
-    auto = n_max is None
-    cap = 100000 if auto else int(n_max)
-    if cap < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    total = 0.0
-    for n in range(1, cap + 1):
-        arg = 2.0 * math.pi**2 * n * tau
-        coef = 4.0 * math.pi * tau * math.exp(-arg) if arg > 700.0 else 2.0 * math.pi * tau / math.sinh(arg)
-        if auto and coef < 1e-15:
-            return total
-        total += (-1.0) ** n * coef * math.sin(2.0 * math.pi * n * lam)
-    if auto:
-        # tau so small the series converges too slowly; the direct sum is exact.
-        return momentum_stats(lam, tau).epsilon
-    return total
 
 
 def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):

@@ -1,10 +1,13 @@
 """Built-in oracle cross-checks, runnable from the CLI.
 
-Each check pits a production routine against an independent route:
-theta-function vs direct partition sums, phase-space quadrature vs the
-Bessel closed form, a dense eigensolver vs the tridiagonal one, and a
-finite-difference Hellmann-Feynman identity.  The quadrature and dense
-oracles here are also reused by the test suite.
+This module holds the package's oracles: independent routes to what the
+production kernels compute, which no production path calls.  Each check
+pits a production routine against one of them: the theta-function form of
+the magnetic partition function vs the direct momentum sums, phase-space
+quadrature vs the classical electric kernel's Bessel closed form, a dense
+eigensolver vs the tridiagonal one, and a finite-difference
+Hellmann-Feynman derivative of ln Z vs the pendulum's potential average.
+The quadrature, dense and ln Z oracles are also reused by the test suite.
 
 The phase-space quadrature is the periodic trapezoid rule in alpha: the
 integrand is periodic and analytic, so the rule converges geometrically in
@@ -22,10 +25,37 @@ import sys
 import numpy as np
 
 from . import classical, qelectric, qmagnetic
-from .units import ConvergenceError, DomainError, validate_tolerance
+from .cycle import heats
+from .units import (
+    ConvergenceError,
+    DomainError,
+    validate_control,
+    validate_temperature,
+    validate_tolerance,
+)
 
 # Node counts of the trapezoid rule stop doubling past this (8 MB per array).
 _MAX_NODES = 1 << 20
+
+
+def _potential_average_quadrature(x: float) -> float:
+    """<sin^2(alpha/2)> under the weight exp(-x sin^2(alpha/2)), by the trapezoid rule.
+
+    The N nodes lie symmetric about the peak at alpha = 0 (where sin^2 keeps
+    full relative precision).  N starts at N >= 16 sqrt(1 + x), a power of
+    two and at least 64, so that the peak of width ~ 1/sqrt(x) spans several
+    nodes, and doubles until two averages agree to 1e-15 relative.
+    """
+    n = max(64, 1 << math.ceil(math.log2(16.0 * math.sqrt(1.0 + x))))
+    prev = math.nan
+    while n <= _MAX_NODES:
+        s = np.sin(np.arange(1 - n // 2, n // 2 + 1) * (math.pi / n)) ** 2
+        weight = np.exp(-x * s)
+        cur = float(s @ weight / weight.sum())
+        if abs(cur - prev) <= 1e-15 * cur:
+            return cur
+        prev, n = cur, 2 * n
+    raise ConvergenceError(f"trapezoid rule not converged at lambda_j/tau_j={x} up to {_MAX_NODES} nodes")
 
 
 def classical_electric_mean_energy_quadrature(
@@ -35,70 +65,105 @@ def classical_electric_mean_energy_quadrature(
 
     The Gaussian L_z integral is analytic (tau_j/2 kinetic part); only the
     angular average of sin^2(alpha/2) under the weight exp(-x sin^2(alpha/2)),
-    x = lambda_j/tau_j, needs quadrature.  The trapezoid rule on N nodes
-    symmetric about the peak at alpha = 0 (where sin^2 keeps full relative
-    precision) starts at N >= 16 sqrt(1 + x), a power of two and at least 64,
-    so that the peak of width ~ 1/sqrt(x) spans several nodes, and doubles N
-    until two averages agree to 1e-15 relative.
+    x = lambda_j/tau_j, needs quadrature.
     """
-    x = lam_j / tau_j
-    n = max(64, 1 << math.ceil(math.log2(16.0 * math.sqrt(1.0 + x))))
-    prev = math.nan
-    while n <= _MAX_NODES:
-        s = np.sin(np.arange(1 - n // 2, n // 2 + 1) * (math.pi / n)) ** 2
-        weight = np.exp(-x * s)
-        cur = float(s @ weight / weight.sum())
-        if abs(cur - prev) <= 1e-15 * cur:
-            return 0.5 * tau_j + lam_i * cur
-        prev, n = cur, 2 * n
-    raise ConvergenceError(f"trapezoid rule not converged at lambda_j/tau_j={x} up to {_MAX_NODES} nodes")
+    return 0.5 * tau_j + lam_i * _potential_average_quadrature(lam_j / tau_j)
+
+
+def jacobi_theta3(z: float, log_q: float) -> float:
+    """theta_3(z, q) = 1 + 2 sum_{v>=1} q^(v^2) cos(2 v z), q = e^log_q.
+
+    The nome is passed in log form to avoid underflow at large temperature;
+    log_q < 0 is required (the series diverges at q = 1).  Evaluated via the
+    triple product
+
+        theta_3 = prod_{n>=1} (1 - q^(2n)) (1 + 2 q^(2n-1) cos 2z + q^(4n-2)),
+
+    writing the quadratic factor as (1 - q^(2n-1))^2 + 4 q^(2n-1) cos^2 z so
+    every piece is nonnegative: near z = pi/2 with q close to 1 the defining
+    cosine series loses ~4 digits to cancellation, while the product keeps
+    full relative precision.  1 - q^k is taken through expm1.
+    """
+    if not (log_q < 0.0):
+        raise DomainError(f"jacobi_theta3 requires log_q < 0, got {log_q}")
+    cos_z = math.cos(z)
+    s = 1.0
+    n = 0
+    while True:
+        n += 1
+        odd_log = (2 * n - 1) * log_q
+        if odd_log < -40.0:
+            return s
+        r = math.exp(odd_log)
+        a = -math.expm1(odd_log)
+        s *= (a * a + 4.0 * r * cos_z * cos_z) * -math.expm1(2 * n * log_q)
+        if n > 100000:
+            raise ConvergenceError(f"theta product did not converge, log_q={log_q}")
+
+
+def quantum_partition_magnetic_theta(lam: float, tau: float) -> float:
+    """ln Z of the quantum magnetic rotor via Poisson summation: sqrt(2 pi tau) e^(lambda^2/2tau) theta_3."""
+    lam = validate_control(lam)
+    tau = validate_temperature(tau)
+    theta = jacobi_theta3(-math.pi * lam, -2.0 * math.pi**2 * tau)
+    return 0.5 * math.log(2.0 * math.pi * tau) + lam * lam / (2.0 * tau) + math.log(theta)
+
+
+def build_pendulum_hamiltonian(lam: float, cutoff_m: int) -> qelectric.TridiagonalHamiltonian:
+    """The full tridiagonal matrix of H(lambda) truncated at |m| <= cutoff_m."""
+    lam = validate_control(lam, require_nonnegative=True)
+    if cutoff_m < 1:
+        raise DomainError(f"cutoff_m must be >= 1, got {cutoff_m}")
+    m = np.arange(-cutoff_m, cutoff_m + 1, dtype=float)
+    return qelectric.TridiagonalHamiltonian(
+        diag=0.5 * m * m + 0.5 * lam, offdiag=np.full(2 * cutoff_m, -0.25 * lam), cutoff_m=cutoff_m
+    )
 
 
 def dense_pendulum_eigenvalues(lam: float, cutoff_m: int) -> np.ndarray:
     """Brute-force dense diagonalization of the pendulum matrix."""
-    h = qelectric.build_pendulum_hamiltonian(lam, cutoff_m)
+    h = build_pendulum_hamiltonian(lam, cutoff_m)
     dense = np.diag(h.diag) + np.diag(h.offdiag, 1) + np.diag(h.offdiag, -1)
     return np.linalg.eigvalsh(dense)
+
+
+def log_partition_pendulum(lam: float, tau: float, cutoff_m: int) -> float:
+    """ln Z of the truncated pendulum spectrum (absolute energies), from the dense eigensolver."""
+    tau = validate_temperature(tau)
+    x = -dense_pendulum_eigenvalues(lam, cutoff_m) / tau
+    top = x.max()
+    return float(top + np.log(np.exp(x - top).sum()))
 
 
 def check_theta_vs_direct(rng: np.random.Generator) -> float:
     err = 0.0
     for _ in range(100):
-        lam = rng.uniform(0.0, 1.0)
-        tau = rng.uniform(0.01, 5.0)
-        err = max(
-            err,
-            abs(
-                qmagnetic.momentum_stats(lam, tau).log_partition
-                - qmagnetic.quantum_partition_magnetic_theta(lam, tau)
-            ),
-        )
+        lam, tau = rng.uniform(0.0, 1.0), rng.uniform(0.01, 5.0)
+        direct = qmagnetic.momentum_stats(lam, tau).log_partition
+        err = max(err, abs(direct - quantum_partition_magnetic_theta(lam, tau)))
     return err
 
 
 def check_quadrature_vs_closed_form(rng: np.random.Generator) -> float:
+    # The kernel's heats against heats from two quadrature stroke averages.
     err = 0.0
     for _ in range(5):
-        lam_i = rng.uniform(0.0, 5.0)
-        lam_j = rng.uniform(0.1, 5.0)
-        tau_j = rng.uniform(0.2, 5.0)
-        err = max(
-            err,
-            abs(
-                classical.classical_mean_energy_electric(lam_i, lam_j, tau_j)
-                - classical_electric_mean_energy_quadrature(lam_i, lam_j, tau_j)
-            ),
-        )
+        lam_h, lam_c = rng.uniform(0.1, 5.0, 2)
+        tau_h, tau_c = rng.uniform(0.2, 5.0, 2)
+        s_h = _potential_average_quadrature(lam_h / tau_h)
+        s_c = _potential_average_quadrature(lam_c / tau_c)
+        quadrature = heats(0.5 * tau_h + lam_h * s_h, 0.5 * tau_c + lam_h * s_c,
+                           0.5 * tau_h + lam_c * s_h, 0.5 * tau_c + lam_c * s_c)
+        kernel = classical.classical_cycle_electric(np.array([lam_h]), np.array([tau_h]), lam_c, tau_c)
+        err = max(err, *(abs(a.item() - b) for a, b in zip(kernel, quadrature)))
     return err
 
 
 def check_dense_vs_tridiagonal(rng: np.random.Generator) -> float:
     err = 0.0
     for _ in range(5):
-        lam = rng.uniform(0.0, 20.0)
-        cutoff = int(rng.integers(8, 64))
-        h = qelectric.build_pendulum_hamiltonian(lam, cutoff)
-        spec = qelectric.eigensolve_sym_tridiagonal(h, want_vectors=False)
+        lam, cutoff = rng.uniform(0.0, 20.0), int(rng.integers(8, 64))
+        spec = qelectric.eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff))
         dense = dense_pendulum_eigenvalues(lam, cutoff)
         err = max(err, float(np.abs(spec.eigenvalues - dense).max()))
     return err
@@ -108,11 +173,10 @@ def check_hellmann_feynman(rng: np.random.Generator) -> float:
     err = 0.0
     step = 1e-4
     for _ in range(4):
-        lam = rng.uniform(0.5, 6.0)
-        tau = rng.uniform(0.2, 3.0)
+        lam, tau = rng.uniform(0.5, 6.0), rng.uniform(0.2, 3.0)
         _, s_avg, cutoff = qelectric.pendulum_stroke_averages(lam, tau, 1e-11)
-        lz_plus = qelectric.log_partition_pendulum(lam + step, tau, cutoff)
-        lz_minus = qelectric.log_partition_pendulum(lam - step, tau, cutoff)
+        lz_plus = log_partition_pendulum(lam + step, tau, cutoff)
+        lz_minus = log_partition_pendulum(lam - step, tau, cutoff)
         fd = -tau * (lz_plus - lz_minus) / (2.0 * step)
         err = max(err, abs(s_avg - fd))
     return err
@@ -142,9 +206,5 @@ def run_selftest(seed: int = 0, tol: float | None = None, out=None) -> bool:
         max_err = check(rng)
         ok = max_err < threshold
         all_ok &= ok
-        print(
-            f"{name:<36} {'PASS' if ok else 'FAIL'}  "
-            f"max_err={max_err:.3e}  tol={threshold:.1e}",
-            file=out,
-        )
+        print(f"{name:<36} {'PASS' if ok else 'FAIL'}  max_err={max_err:.3e}  tol={threshold:.1e}", file=out)
     return all_ok

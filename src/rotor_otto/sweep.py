@@ -30,6 +30,7 @@ from .cycle import (
     assemble_cycle,
     check_tags,
     classify_modes,
+    json_float,
 )
 from .units import ConvergenceError, CyclePoint, DomainError, validate_count, validate_tolerance
 
@@ -361,21 +362,18 @@ def write_csv(grid: SweepGrid, path) -> None:
     _write(path, "CSV", emit)
 
 
-def _json_float(x: float) -> str:
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
 def write_json(grid: SweepGrid, path) -> None:
     """JSON: the spec, the cells in the CycleReport schema (row-major), the boundaries.
 
-    The document is written as json.dump would write it, one tau_h row at a time.
+    The document is written as json.dump would write it, one tau_h row at a
+    time, except that an infinite COP is written 1e999 (json_float).
     """
     cell = "{{" + ", ".join(f'"{key}": {{{CSV_COLUMNS.index(key)}}}' for key in JSON_KEYS) + "}}"
 
     def emit(fh):
         fh.write('{"spec": ' + json.dumps(grid.spec.to_dict()) + ', "cells": [')
         sep = ""
-        for row in _cell_texts(grid, _json_float, "null", json.dumps):
+        for row in _cell_texts(grid, json_float, "null", json.dumps):
             fh.write(sep + ", ".join(starmap(cell.format, row)))
             sep = ", "
         fh.write('], "boundary_engine": ' + json.dumps(grid.boundary_engine)

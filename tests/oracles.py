@@ -1,6 +1,6 @@
 """Independent reference computations used by the acceptance and oracle tests.
 
-Neither route shares code with ``rotor_otto``:
+No route calls ``rotor_otto``; only its ConvergenceError type is shared:
 
 - ``momentum_moments_mp`` sums the magnetic rotor's Boltzmann series over
   m at 30 significant digits (mpmath), in a fixed window around
@@ -12,7 +12,12 @@ Neither route shares code with ``rotor_otto``:
   cycle's heats from those traces;
 - ``potential_average_mp`` integrates the classical pendulum's angular
   average <sin^2(alpha/2)> at 30 significant digits (mpmath.quad), with the
-  interval split at the peak of the integrand.
+  interval split at the peak of the integrand;
+- ``epsilon_fourier`` sums the Fourier series of the magnetic rotor's
+  momentum deviation epsilon, the dual of the production Boltzmann sum;
+- ``classical_engine_condition_electric`` and
+  ``classical_fridge_condition_electric`` state the classical electric
+  machine's engine and refrigerator conditions in closed form.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import functools
 import math
 
 import numpy as np
+
+from rotor_otto.units import ConvergenceError
 
 
 # Working precision (significant digits) and window half-width of the sums.
@@ -134,3 +141,41 @@ def dense_heats_electric(lam_h: float, lam_c: float, tau_h: float, tau_c: float)
     dense = dense_quartet_electric(lam_h, lam_c, tau_h, tau_c)
     q_c, q_h = dense["cc"] - dense["ch"], dense["hh"] - dense["hc"]
     return dense["hh"], dense["cc"], q_c, q_h, -(q_c + q_h)
+
+
+# The Fourier series of epsilon stops after this many terms.
+EPSILON_TERMS = 100_000
+
+
+def epsilon_fourier(lam: float, tau: float) -> float:
+    """The momentum deviation epsilon = <L_z> - lambda of the magnetic rotor, as a Fourier series.
+
+    epsilon = sum_{n>=1} (-1)^n [2 pi tau / sinh(2 pi^2 n tau)] sin(2 pi n lambda),
+    truncated once a coefficient drops below 1e-15.  Raises ConvergenceError
+    when that takes more than EPSILON_TERMS terms, at tau below about 1e-5.
+    """
+    total = 0.0
+    for n in range(1, EPSILON_TERMS + 1):
+        arg = 2.0 * math.pi**2 * n * tau
+        coef = 4.0 * math.pi * tau * math.exp(-arg) if arg > 700.0 else 2.0 * math.pi * tau / math.sinh(arg)
+        if coef < 1e-15:
+            return total
+        total += (-1.0) ** n * coef * math.sin(2.0 * math.pi * n * lam)
+    raise ConvergenceError(f"Fourier series of epsilon not converged in {EPSILON_TERMS} terms at tau={tau}")
+
+
+def classical_engine_condition_electric(point) -> bool:
+    """W < 0 iff tau_h/tau_c > lambda_h/lambda_c > 1 (strict inequalities)."""
+    if point.lambda_c <= 0.0:
+        return False
+    return point.tau_h / point.tau_c > point.lambda_h / point.lambda_c > 1.0
+
+
+def classical_fridge_condition_electric(point) -> bool:
+    """Q_c > 0 iff I1/I0(x_h) - I1/I0(x_c) > (tau_h - tau_c)/lambda_c, x_j = lambda_j/(2 tau_j)."""
+    from scipy.special import i0e, i1e
+
+    if point.lambda_c <= 0.0:
+        return False
+    x_h, x_c = point.lambda_h / (2.0 * point.tau_h), point.lambda_c / (2.0 * point.tau_c)
+    return bool(i1e(x_h) / i0e(x_h) - i1e(x_c) / i0e(x_c) > (point.tau_h - point.tau_c) / point.lambda_c)

@@ -10,23 +10,19 @@ import numpy as np
 import pytest
 
 from rotor_otto.cycle import MODE_ENGINE, MODE_HEATER, MODE_REFRIGERATOR
-from rotor_otto.qelectric import (
+from rotor_otto.qelectric import eigensolve_sym_tridiagonal, pendulum_stroke_averages
+from rotor_otto.qmagnetic import momentum_stats, optimal_work_scan
+from rotor_otto.selftest import (
     build_pendulum_hamiltonian,
-    eigensolve_sym_tridiagonal,
+    classical_electric_mean_energy_quadrature,
+    dense_pendulum_eigenvalues,
     log_partition_pendulum,
-    pendulum_stroke_averages,
-)
-from rotor_otto.qmagnetic import (
-    epsilon_fourier,
-    momentum_stats,
-    optimal_work_scan,
     quantum_partition_magnetic_theta,
 )
-from rotor_otto.selftest import dense_pendulum_eigenvalues
 from rotor_otto.sweep import SweepSpec, evaluate_point, momentum_curve, run_sweep
 from rotor_otto.units import CyclePoint
 
-from oracles import magnetic_cycle_mp, momentum_moments_mp
+from oracles import epsilon_fourier, magnetic_cycle_mp, momentum_moments_mp
 
 
 def verdict(number, name, ok, detail=""):
@@ -334,9 +330,7 @@ def test_criterion_7_quantum_electric_correctness():
     for _ in range(20):
         lam = rng.uniform(0.0, 20.0)
         cutoff = int(rng.integers(8, 129))
-        spec = eigensolve_sym_tridiagonal(
-            build_pendulum_hamiltonian(lam, cutoff), want_vectors=False
-        )
+        spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff))
         dense = dense_pendulum_eigenvalues(lam, cutoff)
         max_eig_err = max(max_eig_err, float(np.abs(spec.eigenvalues - dense).max()))
     ok = max_eig_err < 1e-10
@@ -352,16 +346,12 @@ def test_criterion_7_quantum_electric_correctness():
         max_hf_err = max(max_hf_err, abs(s_avg - fd))
     ok &= max_hf_err < 1e-6
     # (c) harmonic limit at lambda = 400
-    spec = eigensolve_sym_tridiagonal(
-        build_pendulum_hamiltonian(400.0, 64), want_vectors=False
-    )
+    spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(400.0, 64))
     gap = spec.eigenvalues[1] - spec.eigenvalues[0]
     ok &= abs(gap - np.sqrt(200.0)) < 0.01 * np.sqrt(200.0)
     # (d) correspondence limit
     e_avg = pendulum_stroke_averages(1.0, 20.0, 1e-10)[0]
-    from rotor_otto.classical import classical_mean_energy_electric
-
-    classical_value = classical_mean_energy_electric(1.0, 1.0, 20.0)
+    classical_value = classical_electric_mean_energy_quadrature(1.0, 1.0, 20.0)
     ok &= abs(e_avg - classical_value) < 0.01 * abs(classical_value)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 120.0

@@ -3,43 +3,52 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotor_otto.classical import (
-    bessel_argument,
-    classical_engine_condition_electric,
-    classical_fridge_condition_electric,
-    classical_mean_energy_electric,
-    classical_mean_energy_magnetic,
-)
+from rotor_otto.classical import classical_cycle_electric, classical_cycle_magnetic
+from rotor_otto.cycle import heats
 from rotor_otto.selftest import classical_electric_mean_energy_quadrature
 from rotor_otto.specfun import bessel_ratio_i1_i0
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint
 
-from oracles import potential_average_mp
+from oracles import classical_engine_condition_electric, classical_fridge_condition_electric, potential_average_mp
 
 
 def ratio(lam, tau):
-    return bessel_ratio_i1_i0(bessel_argument(lam, tau))
+    return bessel_ratio_i1_i0(lam / (2.0 * tau))
+
+
+def mean_energy(lam_i, lam_j, tau_j):
+    """<H_i>_j of the classical electric machine in closed form."""
+    return 0.5 * tau_j + 0.5 * lam_i * (1.0 - ratio(lam_j, tau_j))
+
+
+def kernel_heats(p, kernel=classical_cycle_electric):
+    """(Q_c, Q_h, W) of a kernel at the cycle point p, its 1x1 grid."""
+    return tuple(a.item() for a in kernel(np.array([p.lambda_h]), np.array([p.tau_h]), p.lambda_c, p.tau_c))
+
+
+def quartet_heats(p, h=classical_electric_mean_energy_quadrature):
+    """(Q_c, Q_h, W) from the quartet h(lambda_i, lambda_j, tau_j) = <H_i>_j, by default the quadrature's."""
+    (lh, th), (lc, tc) = (p.lambda_h, p.tau_h), (p.lambda_c, p.tau_c)
+    return heats(h(lh, lh, th), h(lh, lc, tc), h(lc, lh, th), h(lc, lc, tc))
 
 
 class TestElectricMeanEnergy:
     def test_free_rotor_equipartition(self):
-        assert classical_mean_energy_electric(0.0, 2.0, 0.7) == pytest.approx(0.35)
+        # <H_c>_j = tau_j/2 at lambda_c = 0, whatever lambda_j
+        p = CyclePoint(2.0, 0.0, 0.7, 0.3)
+        assert kernel_heats(p)[0] == pytest.approx(0.15 - 0.35)
 
     def test_quadrature_oracle_single_point(self):
-        got = classical_mean_energy_electric(1.0, 1.0, 1.0)
-        expected = classical_electric_mean_energy_quadrature(1.0, 1.0, 1.0)
-        assert got == pytest.approx(expected, abs=1e-8)
+        p = CyclePoint(3.0, 1.0, 4.0, 1.0)
+        assert kernel_heats(p) == pytest.approx(quartet_heats(p), abs=1e-8)
 
     def test_quadrature_oracle_random_points(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            lam_i = rng.uniform(0.0, 8.0)
-            lam_j = rng.uniform(0.05, 8.0)
-            tau_j = rng.uniform(0.1, 8.0)
-            got = classical_mean_energy_electric(lam_i, lam_j, tau_j)
-            expected = classical_electric_mean_energy_quadrature(lam_i, lam_j, tau_j)
-            assert got == pytest.approx(expected, abs=1e-8)
+            taus = np.sort(rng.uniform(0.1, 8.0, 2))
+            p = CyclePoint(rng.uniform(0.0, 8.0), rng.uniform(0.05, 8.0), taus[1], taus[0])
+            assert kernel_heats(p) == pytest.approx(quartet_heats(p), abs=1e-8)
 
     @pytest.mark.parametrize("x", [1e-6, 1.0, 25.0, 1e3, 1e5, 1e7])
     def test_quadrature_oracle_over_decades(self, x):
@@ -49,7 +58,7 @@ class TestElectricMeanEnergy:
         # lambda_i would scale.
         tau_j = 0.5
         got = classical_electric_mean_energy_quadrature(1.3, x * tau_j, tau_j)
-        expected = classical_mean_energy_electric(1.3, x * tau_j, tau_j)
+        expected = mean_energy(1.3, x * tau_j, tau_j)
         assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_quadrature_oracle_against_30_digits(self):
@@ -62,34 +71,38 @@ class TestElectricMeanEnergy:
         assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_pinned_pendulum_limit(self):
-        # lambda_j -> inf: the potential average vanishes, only kinetic remains
-        assert classical_mean_energy_electric(1.0, 1e7, 1.0) == pytest.approx(
-            0.5, abs=1e-6
-        )
+        # lambda_h -> inf: the hot potential average vanishes, so <H_c>_h
+        # keeps only its kinetic tau_h/2 and Q_c = <H_c>_c - tau_h/2
+        cc = classical_electric_mean_energy_quadrature(1.0, 1.0, 1.0)
+        assert kernel_heats(CyclePoint(1e7, 1.0, 1.0, 1.0))[0] == pytest.approx(cc - 0.5, abs=1e-6)
 
     def test_quartet_column_ordering(self):
-        # lambda_h >= lambda_c implies hc >= cc (mean energy monotone in lambda_i)
-        # at the cycle point (lambda_h, lambda_c, tau_h, tau_c) = (3, 1, 4, 1)
-        hc = classical_mean_energy_electric(3.0, 1.0, 1.0)
-        cc = classical_mean_energy_electric(1.0, 1.0, 1.0)
-        assert hc >= cc
+        # lambda_h >= lambda_c implies hc >= cc (mean energy monotone in lambda_i),
+        # so Q_h = hh - hc <= hh - cc, at the cycle point (3, 1, 4, 1)
+        h = classical_electric_mean_energy_quadrature
+        hh, cc = h(3.0, 3.0, 4.0), h(1.0, 1.0, 1.0)
+        assert kernel_heats(CyclePoint(3.0, 1.0, 4.0, 1.0))[1] <= hh - cc
 
 
 class TestMagneticMeanEnergy:
+    # <L_z>_j = lambda_j, <L_z^2>_j = tau_j + lambda_j^2, so
+    # <H_i>_j = (tau_j + lambda_j^2)/2 - lambda_i lambda_j
     def test_completing_the_square(self):
-        assert classical_mean_energy_magnetic(0.7, 0.7, 1.2) == pytest.approx(
-            0.6 - 0.7**2 / 2
-        )
+        # <H_j>_j = tau_j/2 - lambda_j^2/2: equal lambdas exchange only tau/2
+        p = CyclePoint(0.7, 0.7, 1.2, 0.4)
+        assert kernel_heats(p, classical_cycle_magnetic) == pytest.approx((-0.4, 0.4, 0.0))
 
     def test_zero_displacement(self):
-        assert classical_mean_energy_magnetic(0.5, 0.0, 1.4) == pytest.approx(0.7)
+        p = CyclePoint(0.0, 0.0, 1.4, 0.5)
+        assert kernel_heats(p, classical_cycle_magnetic) == pytest.approx((-0.45, 0.45, 0.0))
 
     def test_gaussian_moment_oracle(self):
-        # <L_z>_j = lambda_j, <L_z^2>_j = tau_j + lambda_j^2, so
-        # <H_i>_j = (tau_j + lambda_j^2)/2 - lambda_i lambda_j
-        assert classical_mean_energy_magnetic(0.2, 0.485, 1.0) == pytest.approx(
-            0.52061250, abs=1e-12
-        )
+        def h(lam_i, lam_j, tau_j):
+            return (tau_j + lam_j**2) / 2 - lam_i * lam_j
+
+        p = CyclePoint(0.2, 0.485, 2.0, 1.0)
+        assert h(0.2, 0.485, 1.0) == pytest.approx(0.52061250, abs=1e-12)
+        assert kernel_heats(p, classical_cycle_magnetic) == pytest.approx(quartet_heats(p, h), abs=1e-12)
 
 
 class TestElectricCycle:

@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,6 +11,8 @@ import pytest
 import rotor_otto
 from rotor_otto import cli, qelectric, sweep
 from rotor_otto.sweep import SweepSpec, run_sweep, write_csv
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(argv, capsys):
@@ -54,6 +59,17 @@ class TestCycleCommand:
                 ]
             )
         assert excinfo.value.code == 2
+
+    def test_infinite_cop_is_strict_json(self, monkeypatch, capsys):
+        # A refrigerator with W = 0 exactly, as classify_modes reports it.
+        evaluate_point = sweep.evaluate_point
+        monkeypatch.setattr(sweep, "evaluate_point", lambda *args, **kwargs: dataclasses.replace(
+            evaluate_point(*args, **kwargs), w=0.0, mode="Refrigerator", efficiency=None, cop=math.inf))
+        code, out, _ = run_cli(cycle_argv("magnetic", "quantum"), capsys)
+        assert code == 0 and '"cop": 1e999' in out
+        # A strict (RFC 8259) reader: the constants NaN and Infinity are no JSON.
+        report = json.loads(out, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
+        assert (report["w"], report["mode"], report["cop"]) == (0.0, "Refrigerator", math.inf)
 
     def test_invalid_point_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -244,11 +260,18 @@ class TestSelftestCommand:
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.fft")
 
 
-def scipy_loaded_after(argvs):
-    """The scipy modules loaded once a fresh interpreter has run cli.main on each argv."""
+def fresh_interpreter(code):
+    """The words that code prints when run by a fresh interpreter with the package on its path."""
     src = os.path.dirname(os.path.dirname(rotor_otto.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def scipy_loaded_after(argvs):
+    """The scipy modules loaded once a fresh interpreter has run cli.main on each argv."""
+    return fresh_interpreter(
         "import contextlib, io, sys\n"
         "from rotor_otto import cli\n"
         f"for argv in {argvs!r}:\n"
@@ -256,8 +279,6 @@ def scipy_loaded_after(argvs):
         "        assert cli.main(argv) == 0, argv\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return result.stdout.split()
 
 
 def cycle_argv(machine, model):
@@ -287,3 +308,26 @@ class TestImportBudget:
         loaded = scipy_loaded_after([cycle_argv("electric", model) for model in ("classical", "quantum")])
         assert {"scipy.special", "scipy.linalg.lapack"} <= set(loaded)
         assert not set(loaded) & set(HEAVY_SCIPY)
+
+
+class TestBenchmarkBindings:
+    def test_tracer_installs_on_the_worker_namespace(self):
+        # perfbench/tracing.py wraps the program's functions by module
+        # attribute, and the worker reads the stroke cache's cache_info even
+        # untraced: a renamed or removed name must fail here, not first in
+        # the benchmark.  The namespace is built by the worker's own _program.
+        assert fresh_interpreter(
+            "import ast, sys, types\n"
+            f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import tracing\n"
+            f"tree = ast.parse(open({str(PERFBENCH / 'worker.py')!r}).read())\n"
+            "build = [node for node in tree.body if getattr(node, 'name', '') == '_program']\n"
+            "namespace = {'types': types}\n"
+            "exec(compile(ast.Module(build, []), 'worker.py', 'exec'), namespace)\n"
+            "program = namespace['_program']()\n"
+            "stroke_cache, tracer = program.qelectric.pendulum_stroke_averages, tracing.Tracer()\n"
+            "tracing.install(tracer, program)\n"
+            "program.sweep.evaluate_point('electric', 'quantum', program.units.CyclePoint(3.0, 1.0, 4.0, 1.0))\n"
+            "solves = tracer.totals()['qelectric.eigensolve_sym_tridiagonal'][0]\n"
+            "print(stroke_cache.cache_info().misses, solves > 0)\n"
+        ) == ["1", "True"]

@@ -2,14 +2,8 @@ import json
 
 import pytest
 
-from rotor_otto.classical import classical_mean_energy_electric
-from rotor_otto.cycle import (
-    CycleReport,
-    assemble_cycle,
-    carnot_bound,
-    classify_modes,
-    heats,
-)
+from rotor_otto.cycle import assemble_cycle, classify_modes, heats
+from rotor_otto.selftest import classical_electric_mean_energy_quadrature
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint, DomainError
 
@@ -44,8 +38,12 @@ def test_electric_engine_example():
 
 
 def test_carnot_bound():
-    assert carnot_bound(CyclePoint(1, 1, 2, 2)) == 0.0
-    assert carnot_bound(CyclePoint(1, 1, 4, 1)) == 0.75
+    # classify_modes rejects an engine beyond 1 - tau_c/tau_h: 0.75 at (4, 1), 0 at (2, 2)
+    assert classify_modes(-0.25, 1.0, -0.75, 4.0, 1.0)[1] == 0.75
+    with pytest.raises(DomainError, match="outside"):
+        classify_modes(-0.2, 1.0, -0.8, 4.0, 1.0)
+    with pytest.raises(DomainError, match="outside"):
+        classify_modes(-0.5, 1.0, -0.5, 2.0, 2.0)
 
 
 def test_engine_efficiency_below_carnot_on_random_points():
@@ -58,21 +56,21 @@ def test_engine_efficiency_below_carnot_on_random_points():
         p = CyclePoint(rng.uniform(0, 8), rng.uniform(0.1, 8), taus[1], taus[0])
         r = evaluate_point("electric", "classical", p)
         if r.mode == "Engine":
-            assert r.efficiency <= carnot_bound(p) + 1e-9
+            assert r.efficiency <= 1.0 - p.tau_c / p.tau_h + 1e-9
             engines += 1
 
 
 def test_column_shift_gauge():
     # adding c to both hh and hc leaves Q_h unchanged; same for the cold column
     p = CyclePoint(2.0, 1.0, 3.0, 1.0)
-    q = [classical_mean_energy_electric(i, j, tau) for i, j, tau in
+    q = [classical_electric_mean_energy_quadrature(i, j, tau) for i, j, tau in
          [(2.0, 2.0, 3.0), (2.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)]]
     q_c, q_h, _ = heats(*q)
     shifted_q_c, shifted_q_h, _ = heats(q[0] + 5.0, q[1] + 5.0, q[2] - 2.0, q[3] - 2.0)
     assert shifted_q_h == pytest.approx(q_h, abs=1e-12)
     assert shifted_q_c == pytest.approx(q_c, abs=1e-12)
     r = evaluate_point("electric", "classical", p)
-    assert (r.q_c, r.q_h) == (q_c, q_h)
+    assert (r.q_c, r.q_h) == pytest.approx((q_c, q_h), abs=1e-12)
 
 
 def test_second_law_violation_rejected():
@@ -103,7 +101,8 @@ def test_json_schema_round_trip():
         "q_c", "q_h", "w", "mode", "efficiency", "cop",
         "machine", "model", "lambda_h", "lambda_c", "tau_h", "tau_c",
     }
-    assert CycleReport.from_json_dict(d) == r
+    assert d == r.to_json_dict()
+    assert r.to_json() == json.dumps(r.to_json_dict())
 
 
 def test_mode_tolerance_band():

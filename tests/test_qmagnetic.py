@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rotor_otto.qmagnetic import (
-    cycle_heats_magnetic,
-    epsilon_fourier,
-    momentum_stats,
-    optimal_work_scan,
-    quantum_partition_magnetic_theta,
-)
+from rotor_otto.qmagnetic import cycle_heats_magnetic, momentum_stats, optimal_work_scan
+from rotor_otto.selftest import quantum_partition_magnetic_theta
 from rotor_otto.sweep import evaluate_point
-from rotor_otto.units import CyclePoint, DomainError
+from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
 
-from oracles import magnetic_cycle_mp, momentum_moments_mp
+from oracles import epsilon_fourier, magnetic_cycle_mp, momentum_moments_mp
 
 
 class TestPartitionFunctions:
@@ -148,9 +143,13 @@ class TestEpsilonFourier:
         # tau -> 0: the deviation pulls lambda to the nearest integer
         assert epsilon_fourier(0.3, 0.002) == pytest.approx(-0.3, abs=1e-6)
 
-    def test_bad_n_max_rejected(self):
-        with pytest.raises(DomainError):
-            epsilon_fourier(0.3, 0.1, n_max=0)
+    @pytest.mark.parametrize("tau", [1e-5, 1e-6, 1e-8])
+    def test_unconverged_series_raises(self, tau):
+        # Below tau ~ 2e-5 the coefficients fall under 1e-15 only after more
+        # than EPSILON_TERMS terms: the oracle must fail, not hand back the
+        # production sum it is meant to check.
+        with pytest.raises(ConvergenceError, match="not converged"):
+            epsilon_fourier(0.3, tau)
 
 
 class TestQuantumQuartet:

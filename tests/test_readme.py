@@ -25,3 +25,21 @@ def test_readme_block_runs(index, tmp_path, monkeypatch, capsys):
     assert len(printed) == len(expected)
     for line, want in zip(printed, expected):
         assert line.startswith(want), (line, want)
+
+
+PUBLIC_API = [
+    "CyclePoint", "CycleReport", "SweepSpec", "SweepGrid", "evaluate_point", "run_sweep",
+    "extract_boundaries", "momentum_curve", "optimal_work_scan", "read_json", "write_csv",
+    "write_json", "DomainError", "ConvergenceError",
+]
+
+
+def test_public_api_is_what_the_readme_documents():
+    import rotor_otto
+
+    assert sorted(rotor_otto.__all__) == sorted(PUBLIC_API)
+    assert all(hasattr(rotor_otto, name) for name in PUBLIC_API)
+    # `from rotor_otto import a, b` or `from rotor_otto import (a, b, ...)`
+    imports = re.findall(r"^from rotor_otto import (?:\(([^)]*)\)|([\w ,]+)$)", "".join(BLOCKS), flags=re.M)
+    imported = {name.strip() for names in imports for name in ",".join(names).split(",")} - {""}
+    assert imported and imported <= set(rotor_otto.__all__)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rotor_otto.specfun import bessel_ratio_i1_i0, jacobi_theta3
+from rotor_otto.selftest import jacobi_theta3
+from rotor_otto.specfun import bessel_ratio_i1_i0
 from rotor_otto.units import DomainError
 
 

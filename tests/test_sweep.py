@@ -2,12 +2,12 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from rotor_otto.classical import classical_engine_condition_electric
 from rotor_otto.sweep import (
     SweepGrid,
     SweepSpec,
@@ -21,6 +21,8 @@ from rotor_otto.sweep import (
     write_json,
 )
 from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
+
+from oracles import classical_engine_condition_electric
 
 
 def small_spec(**overrides):
@@ -350,8 +352,18 @@ class TestSerialization:
             "boundary_engine": mixed_grid.boundary_engine,
             "boundary_fridge": mixed_grid.boundary_fridge,
         }
-        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
+        # json.dumps writes an infinite COP as Infinity, which is not JSON.
+        expected = json.dumps(doc).replace('"cop": Infinity', '"cop": 1e999')
+        assert path.read_bytes() == (expected + "\n").encode()
         assert read_json(path).cells == mixed_grid.cells
+
+    def test_json_parses_strictly(self, mixed_grid, tmp_path):
+        path = tmp_path / "grid.json"
+        write_json(mixed_grid, path)
+        # A strict (RFC 8259) reader: the constants NaN and Infinity are no JSON.
+        doc = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
+        cops = [None if math.isnan(c) else c for c in mixed_grid.cop.flat]
+        assert [cell["cop"] for cell in doc["cells"]] == cops
 
     def test_csv_bytes_equal_csv_writer(self, mixed_grid, tmp_path):
         path = tmp_path / "grid.csv"
