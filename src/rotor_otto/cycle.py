@@ -10,7 +10,7 @@ them algebraically).  Here the results are classified, elementwise:
 Engine:       W < -tol          (net work output), efficiency |W|/Q_h
 Refrigerator: Q_c > tol, W >= -tol, COP Q_c/W
 Heater:       anything else (the paper treats strict inequalities only, so
-              numerical zeros fall here; default band tol = 1e-12 E).
+              numerical zeros fall here; tol = MODE_TOL = 1e-12 E).
 assemble_cycle packs one cell's entries into a CycleReport.
 
 The COP is an extension beyond the three paper-defined modes; it is the
@@ -37,7 +37,7 @@ MACHINE_MAGNETIC = "magnetic"
 MODEL_CLASSICAL = "classical"
 MODEL_QUANTUM = "quantum"
 
-DEFAULT_MODE_TOL = 1e-12
+MODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def heats(hh, hc, ch, cc):
     return q_c, q_h, -(q_c + q_h)
 
 
-def classify_modes(q_c, q_h, w, tau_h, tau_c, tol: float = DEFAULT_MODE_TOL):
+def classify_modes(q_c, q_h, w, tau_h, tau_c):
     """Mode, efficiency and COP arrays of cycles with heats q_c, q_h and work w.
 
     The arguments broadcast; an absent efficiency or COP is NaN.  Raises
@@ -108,8 +108,8 @@ def classify_modes(q_c, q_h, w, tau_h, tau_c, tol: float = DEFAULT_MODE_TOL):
     q_c, q_h, w = np.asarray(q_c), np.asarray(q_h), np.asarray(w)
     if np.isnan(q_c).any() or np.isnan(q_h).any():
         raise DomainError("kernel produced NaN heat")
-    engine = w < -tol
-    fridge = q_c > tol
+    engine = w < -MODE_TOL
+    fridge = q_c > MODE_TOL
     both = engine & fridge
     if both.any():
         raise DomainError(

@@ -13,7 +13,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat, starmap
 
 import numpy as np
@@ -32,15 +31,38 @@ from .cycle import (
     classify_modes,
     json_float,
 )
-from .units import ConvergenceError, CyclePoint, DomainError, validate_count, validate_tolerance
+from .units import CyclePoint, DomainError, validate_count, validate_tolerance
 
 SCALE_LINEAR = "linear"
 SCALE_LOG = "log"
 
 
+def _axis(rng: tuple[float, float, int], what: str, scale: str = SCALE_LINEAR) -> np.ndarray:
+    """Read-only points of rng = (min, max, count); DomainError unless min < max are
+    finite, count >= 2 and every point is finite (linspace overflows where max - min does)."""
+    lo, hi, count = rng
+    count = validate_count(count, 2, what)
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"{what} needs finite min < max, got ({lo}, {hi})")
+    if scale not in (SCALE_LINEAR, SCALE_LOG):
+        raise DomainError(f"unknown scale {scale!r}")
+    if scale == SCALE_LOG and lo <= 0.0:
+        raise DomainError(f"log-scaled {what} needs min > 0, got {lo}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = (np.geomspace if scale == SCALE_LOG else np.linspace)(lo, hi, count)
+    if not np.isfinite(axis).all():
+        raise DomainError(f"{what} has non-finite points between {lo} and {hi}")
+    axis.flags.writeable = False
+    return axis
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes and fixed parameters of a (lambda_h, tau_h) sweep."""
+    """Axes and fixed parameters of a (lambda_h, tau_h) sweep.
+
+    Every cell of a spec is a valid CyclePoint: construction raises
+    DomainError otherwise, so the domain is checked once, here.
+    """
 
     lambda_h_range: tuple[float, float, int]
     tau_h_range: tuple[float, float, int]
@@ -52,26 +74,15 @@ class SweepSpec:
     tau_scale: str = SCALE_LINEAR
 
     def __post_init__(self) -> None:
-        for name, scale in (("lambda_h", self.lambda_scale), ("tau_h", self.tau_scale)):
-            lo, hi, count = getattr(self, f"{name}_range")
-            # Kept as a plain int: a numpy integer does not serialize to JSON.
-            object.__setattr__(self, f"{name}_range", (lo, hi, validate_count(count, 2, f"{name} axis")))
-            if not lo < hi:
-                raise DomainError(f"{name} axis needs min < max, got ({lo}, {hi})")
-            if scale not in (SCALE_LINEAR, SCALE_LOG):
-                raise DomainError(f"unknown scale {scale!r}")
-            if scale == SCALE_LOG and lo <= 0.0:
-                raise DomainError(f"log-scaled {name} axis needs min > 0, got {lo}")
         check_tags(self.machine, self.model)
-
-    @cached_property
-    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lambda_h axis, tau_h axis), computed once per spec and read-only."""
-        axes = tuple((np.geomspace if scale == SCALE_LOG else np.linspace)(*rng) for rng, scale in
-                     ((self.lambda_h_range, self.lambda_scale), (self.tau_h_range, self.tau_scale)))
-        for axis in axes:
-            axis.flags.writeable = False
-        return axes
+        lams = _axis(self.lambda_h_range, "lambda_h axis", self.lambda_scale)
+        taus = _axis(self.tau_h_range, "tau_h axis", self.tau_scale)
+        # Counts kept as plain ints: a numpy integer does not serialize to JSON.
+        object.__setattr__(self, "lambda_h_range", (*self.lambda_h_range[:2], len(lams)))
+        object.__setattr__(self, "tau_h_range", (*self.tau_h_range[:2], len(taus)))
+        # With finite axes, the cell at the lowest tau_h checks the rest of the domain.
+        CyclePoint(lams[0], self.lambda_c, taus.min(), self.tau_c)
+        object.__setattr__(self, "_axes", (lams, taus))
 
     def lambda_axis(self) -> np.ndarray:
         return self._axes[0]
@@ -172,28 +183,14 @@ def evaluate_point(
 def run_sweep(spec: SweepSpec, tol: float = 1e-10) -> SweepGrid:
     """Evaluate every cell of the sweep and extract regime boundaries.
 
-    A failure is re-raised with the grid coordinates of the first cell, in
-    row-major order, that fails on its own.
+    The spec's cells are valid cycle points, so a DomainError or
+    ConvergenceError comes from a kernel, with the kernel's own message: it
+    names the stroke that failed (the pendulum its lambda and tau, the
+    magnetic momentum window its tau, a row in which every cell fails).
     """
     validate_tolerance(tol)
-    lams, taus = spec.lambda_axis(), spec.tau_axis()
-    try:
-        # A cell's coordinates are valid iff its column's and its row's are.
-        for lam in lams:
-            CyclePoint(lam, spec.lambda_c, taus[-1], spec.tau_c)
-        for tau in taus:
-            CyclePoint(lams[0], spec.lambda_c, tau, spec.tau_c)
-        arrays = _cycle_arrays(spec.machine, spec.model, lams, taus, spec.lambda_c, spec.tau_c, tol)
-    except (DomainError, ConvergenceError):
-        for tau in taus:
-            for lam in lams:
-                try:
-                    evaluate_point(spec.machine, spec.model,
-                                   CyclePoint(lam, spec.lambda_c, tau, spec.tau_c), tol=tol)
-                except (DomainError, ConvergenceError) as exc:
-                    raise type(exc)(f"cell (lambda_h={lam}, tau_h={tau}): {exc}") from exc
-        raise
-    grid = SweepGrid(spec, *arrays)
+    grid = SweepGrid(spec, *_cycle_arrays(spec.machine, spec.model, spec.lambda_axis(), spec.tau_axis(),
+                                          spec.lambda_c, spec.tau_c, tol))
     grid.boundary_engine, grid.boundary_fridge = extract_boundaries(grid)
     return grid
 
@@ -202,11 +199,7 @@ def momentum_curve(
     lambda_range: tuple[float, float, int], taus: list[float]
 ) -> list[tuple[float, float, float, float]]:
     """Rows (lambda, tau, <L_z>/hbar, epsilon) of the thermal momentum curve."""
-    lo, hi, count = lambda_range
-    validate_count(count, 2, "lambda range")
-    if not lo < hi:
-        raise DomainError(f"invalid lambda range {lambda_range}")
-    lams = np.linspace(lo, hi, count)
+    lams = _axis(lambda_range, "lambda range")
     centers = np.round(lams)
     rows = []
     for tau in taus:

@@ -92,7 +92,3 @@ class CyclePoint:
             "tau_h": self.tau_h,
             "tau_c": self.tau_c,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CyclePoint":
-        return cls(d["lambda_h"], d["lambda_c"], d["tau_h"], d["tau_c"])

@@ -188,6 +188,14 @@ class TestSweepCommand:
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_infinite_axis_end_exits_2(self, tmp_path, capsys):
+        args = sweep_args(tmp_path / "x.csv")
+        args[args.index("--lambda-h-max") + 1] = "inf"
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert err == "error: lambda_h axis needs finite min < max, got (1.0, inf)\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_failing_sweep_keeps_existing_output(self, tmp_path, capsys):
         out = tmp_path / "keep.csv"
         out.write_bytes(b"x\n")
@@ -219,6 +227,12 @@ class TestMomentumCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "lambda,tau,mean_lz,epsilon"
         assert len(lines) == 1 + 2 * 5
+
+    def test_infinite_lambda_end_exits_2(self, capsys):
+        code, out, err = run_cli(["momentum", "--lambda-min", "0", "--lambda-max", "inf", "--tau", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: lambda range needs finite min < max, got (0.0, inf)\n"
 
 
 class TestOptimumCommand:

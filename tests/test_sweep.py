@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from rotor_otto import sweep
 from rotor_otto.sweep import (
     SweepGrid,
     SweepSpec,
@@ -23,6 +24,17 @@ from rotor_otto.sweep import (
 from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
 
 from oracles import classical_engine_condition_electric
+
+
+# A sweep whose momentum window is too wide from the second tau_h row on.
+MAGNETIC_WINDOW_FAILURE = SweepSpec(
+    lambda_h_range=(0.1, 0.4, 3),
+    tau_h_range=(1.0, 2e12, 3),
+    lambda_c=0.3,
+    tau_c=1.0,
+    machine="magnetic",
+    model="quantum",
+)
 
 
 def small_spec(**overrides):
@@ -72,8 +84,25 @@ class TestSweepSpec:
             small_spec(machine="diesel")
 
     def test_log_axis(self):
-        spec = small_spec(tau_h_range=(0.1, 10.0, 5), tau_scale="log")
+        spec = small_spec(tau_h_range=(0.1, 10.0, 5), tau_scale="log", tau_c=0.1)
         assert np.allclose(spec.tau_axis(), np.geomspace(0.1, 10.0, 5))
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(lambda_h_range=(1.0, math.inf, 3)), "lambda_h axis needs finite min < max, got (1.0, inf)"),
+        (dict(lambda_h_range=(-math.inf, 8.0, 3)), "lambda_h axis needs finite min < max, got (-inf, 8.0)"),
+        (dict(lambda_h_range=(math.nan, 8.0, 3)), "lambda_h axis needs finite min < max, got (nan, 8.0)"),
+        (dict(tau_h_range=(1.0, math.inf, 3)), "tau_h axis needs finite min < max, got (1.0, inf)"),
+        (dict(tau_h_range=(1.0, math.nan, 3), tau_scale="log"), "tau_h axis needs finite min < max"),
+        (dict(lambda_h_range=(-1.7e308, 1.7e308, 3)), "lambda_h axis has non-finite points"),
+        (dict(lambda_c=math.nan), "control parameter must be finite, got nan"),
+        (dict(tau_c=math.inf), "reduced temperature must be finite and > 0, got inf"),
+        (dict(tau_c=2.0), "hot reservoir colder than cold one: tau_h=1.0 < tau_c=2.0"),
+    ], ids=["lambda max inf", "lambda min -inf", "lambda min nan", "tau max inf", "tau max nan",
+            "lambda overflow", "lambda_c nan", "tau_c inf", "tau_c above tau_h"])
+    def test_domain_checked_at_construction(self, overrides, message):
+        # Every cell of a spec is a valid cycle point, so run_sweep checks no domain.
+        with pytest.raises(DomainError, match=re.escape(message)):
+            small_spec(**overrides)
 
     def test_axes_computed_once_and_read_only(self):
         # cell() indexes the axes on every call; they are built once per spec.
@@ -129,28 +158,31 @@ class TestRunSweep:
         assert near.mode == "Engine"
 
     def test_cell_error_carries_coordinates(self):
-        spec = SweepSpec(
-            lambda_h_range=(0.1, 1.0, 3),
-            tau_h_range=(0.5, 2.0, 3),
-            lambda_c=0.5,
-            tau_c=1.0,  # tau_h min < tau_c: first row must fail
-            machine="magnetic",
-            model="classical",
-        )
-        with pytest.raises(DomainError, match="tau_h=0.5"):
-            run_sweep(spec)
+        # tau_h min < tau_c: the spec's first row is no cycle, so no spec is built.
+        with pytest.raises(DomainError, match=r"tau_h=0\.5 < tau_c=1\.0"):
+            SweepSpec(
+                lambda_h_range=(0.1, 1.0, 3),
+                tau_h_range=(0.5, 2.0, 3),
+                lambda_c=0.5,
+                tau_c=1.0,
+                machine="magnetic",
+                model="classical",
+            )
 
     def test_kernel_error_names_first_failing_cell(self):
         # The momentum window is too wide from the second tau_h row on.
-        spec = SweepSpec(
-            lambda_h_range=(0.1, 0.4, 3),
-            tau_h_range=(1.0, 2e12, 3),
-            lambda_c=0.3,
-            tau_c=1.0,
-            machine="magnetic",
-            model="quantum",
-        )
-        with pytest.raises(ConvergenceError, match=r"cell \(lambda_h=0\.1, tau_h=1000000000000\.5\)"):
+        with pytest.raises(ConvergenceError, match=r"^momentum window too wide at tau=1000000000000\.5$"):
+            run_sweep(MAGNETIC_WINDOW_FAILURE)
+
+    @pytest.mark.parametrize("spec, message", [
+        (MAGNETIC_WINDOW_FAILURE, "momentum window too wide at tau=1000000000000.5"),
+        # tau = 1e8 needs a cutoff beyond 2^15: its free-rotor tail fails before any solve.
+        (SweepSpec((1.0, 20.0, 2), (1.0, 1e8, 2), 1.0, 0.05, "electric", "quantum"),
+         "stroke averages not converged at lambda=1.0, tau=100000000.0"),
+    ], ids=["magnetic window", "pendulum cutoff"])
+    def test_kernel_error_is_not_rewalked(self, spec, message, monkeypatch):
+        monkeypatch.setattr(sweep, "evaluate_point", lambda *args, **kwargs: pytest.fail("per-cell re-walk"))
+        with pytest.raises(ConvergenceError, match=re.escape(message)):
             run_sweep(spec)
 
 
@@ -206,6 +238,16 @@ class TestMomentumCurve:
     def test_fractional_count_rejected(self, count):
         with pytest.raises(DomainError, match="integer count"):
             momentum_curve((0.0, 1.0, count), [0.5])
+
+    @pytest.mark.parametrize("lambda_range, message", [
+        ((0.0, math.inf, 3), "lambda range needs finite min < max, got (0.0, inf)"),
+        ((math.nan, 1.0, 3), "lambda range needs finite min < max, got (nan, 1.0)"),
+        ((-1.7e308, 1.7e308, 3), "lambda range has non-finite points"),
+    ])
+    def test_nonfinite_range_rejected(self, lambda_range, message):
+        # The range check of SweepSpec's axes.
+        with pytest.raises(DomainError, match=re.escape(message)):
+            momentum_curve(lambda_range, [0.5])
 
 
 def synthetic_grid(f, n_lam=11, n_tau=9):
@@ -388,8 +430,10 @@ class TestSerialization:
         (lambda doc: doc["cells"][1].update(tau_h=True), "cell 1: tau_h is True, the spec's is 1.0"),
         (lambda doc: doc["cells"][4].update(q_c="0.5"), "cell 4: q_c is '0.5', not a number"),
         (lambda doc: doc["cells"][8].update(cop="inf"), "cell 8: cop is 'inf', not a number"),
+        (lambda doc: [d.update(tau_c=2.0) for d in [doc["spec"], *doc["cells"]]],
+         "hot reservoir colder than cold one: tau_h=1.0 < tau_c=2.0"),
     ], ids=["too few cells", "missing key", "unknown mode", "foreign lambda_h", "foreign machine",
-            "bool tau_h", "string heat", "string cop"])
+            "bool tau_h", "string heat", "string cop", "tau_c above tau_h"])
     def test_malformed_json_rejected_with_path(self, edit, message, tmp_path):
         path = tmp_path / "grid.json"
         write_json(run_sweep(small_spec(lambda_h_range=(1.0, 4.0, 3), tau_h_range=(1.0, 3.0, 3))), path)

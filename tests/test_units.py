@@ -33,5 +33,5 @@ def test_nonfinite_lambda_rejected():
 
 def test_serialization_round_trip_bit_exact():
     p = CyclePoint(0.1 + 0.2, 1.0 / 3.0, 4.0, 1e-300)
-    restored = CyclePoint.from_dict(json.loads(json.dumps(p.to_dict())))
+    restored = CyclePoint(**json.loads(json.dumps(p.to_dict())))
     assert restored == p
