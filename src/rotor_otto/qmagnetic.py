@@ -3,7 +3,9 @@
 The Hamiltonian H(lambda) = L_z^2/2 - lambda L_z is diagonal in the
 angular-momentum basis with eigenvalues m(m - 2 lambda)/2, m integer.
 Every moment is the direct truncated Boltzmann sum over m, taken in the
-offset k = m - round(lambda) (momentum_moments).  Its oracles live outside
+offset k = m - round(lambda) over a window set by tau alone
+(momentum_moments): a (tau, lambda) grid is summed in one pass, the taus
+that share a window together.  Its oracles live outside
 this module: the theta-function form of ln Z in selftest, the Fourier
 series of epsilon in the test suite.
 
@@ -23,16 +25,19 @@ from .units import (
     ConvergenceError,
     CyclePoint,
     DomainError,
+    grid_axis,
     validate_control,
-    validate_count,
     validate_temperature,
 )
 
 # Edge terms of the m-window sit at least this many nats below the peak weight.
 _WINDOW_NATS = 40.0
 _WINDOW_MAX_HALFWIDTH = 1 << 23
-# Lambda values are summed in blocks of at most this many Boltzmann terms.
-_BLOCK_TERMS = 1 << 16
+# (tau, lambda) pairs are summed in blocks of at most this many Boltzmann
+# terms: 64 KB per temporary, below glibc's default mmap threshold (128 KB).
+# Freeing a larger, mmapped temporary raises that threshold, and the heap then
+# keeps the memory of later ones resident.
+_BLOCK_TERMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -52,42 +57,68 @@ class MomentumStats:
     terms_used: int
 
 
-def momentum_moments(lam, tau: float):
-    """Gibbs moments of k = m - round(lambda) at one tau, elementwise over lambda.
+def momentum_moments(lam, tau):
+    """Gibbs moments of k = m - round(lambda), elementwise over lambda, at each tau.
 
-    Returns (mu, nu, log_z, terms): mu = <k>, nu = <k^2>, log_z = ln Z of the
-    direct sum over m, and the number of terms summed per lambda.  With
-    f = lambda - round(lambda), the weight of m = round(lambda) + k relative
-    to that of round(lambda) is e^(-k (k - 2f)/(2 tau)): no term grows with
-    |lambda|, and near the ground state mu and nu keep their full relative
-    precision.  The closed-form window |k| <= ceil(sqrt(2 tau N)) + 1 puts
-    both edges at least N = _WINDOW_NATS nats below the peak, since |f| <= 1/2.
+    Returns (mu, nu, log_z, terms): mu = <k>, nu = <k^2> and log_z = ln Z of
+    the direct sum over m, each of shape tau.shape + lam.shape (lam's shape
+    at one tau), and terms, of tau's shape, the number of terms summed per
+    lambda at each tau.  With f = lambda - round(lambda), the weight of
+    m = round(lambda) + k relative to that of round(lambda) is
+    e^(-k (k - 2f)/(2 tau)): no term grows with |lambda|, and near the ground
+    state mu and nu keep their full relative precision.  The closed-form
+    window |k| <= ceil(sqrt(2 tau N)) + 1 puts both edges at least
+    N = _WINDOW_NATS nats below the peak, since |f| <= 1/2.
+
+    Every tau's window is checked before any sum.  The rows of the taus that
+    share a window are summed together, in blocks of at most _BLOCK_TERMS
+    terms.  Each (tau, lambda) pair is reduced over its own window along the
+    last axis, so its sums are the same bits whatever other taus share the
+    call.
     """
-    tau = validate_temperature(tau)
+    tau = np.asarray(tau)
+    taus = [validate_temperature(t) for t in tau.ravel().tolist()]
     lam = np.asarray(lam, dtype=float)
     validate_control(np.max(np.abs(lam), initial=0.0))
-    half = math.ceil(math.sqrt(2.0 * tau * _WINDOW_NATS)) + 1
-    if half > _WINDOW_MAX_HALFWIDTH:
-        raise ConvergenceError(f"momentum window too wide at tau={tau}")
-    k = np.arange(-half, half + 1, dtype=float)
-    flat = lam.ravel()
-    mu, nu, log_z = np.empty((3, flat.size))
-    step = max(1, _BLOCK_TERMS // k.size)
-    for start in range(0, flat.size, step):
-        block = slice(start, start + step)
-        center = np.round(flat[block])
-        f = (flat[block] - center)[:, None]
-        w = np.exp(-k * (k - 2.0 * f) / (2.0 * tau))
-        norm = w.sum(axis=1)
-        mu[block] = (w * k).sum(axis=1) / norm
-        nu[block] = (w * k * k).sum(axis=1) / norm
-        log_z[block] = -center * (center - 2.0 * flat[block]) / (2.0 * tau) + np.log(norm)
-    mu, nu, log_z = (v.reshape(lam.shape) for v in (mu, nu, log_z))
-    eps = mu - (lam - np.round(lam))
-    if not (np.all(np.abs(eps) <= 0.5 + 1e-12) and np.all(nu - mu * mu >= -1e-9)):
-        raise DomainError(f"momentum moments out of range at tau={tau}: |epsilon| > 1/2 "
-                          "or negative variance")
-    return mu, nu, log_z, k.size
+    halves = [math.ceil(math.sqrt(2.0 * t * _WINDOW_NATS)) + 1 for t in taus]
+    rows_of_half: dict[int, list[int]] = {}
+    for j, (t, half) in enumerate(zip(taus, halves)):
+        if half > _WINDOW_MAX_HALFWIDTH:
+            raise ConvergenceError(f"momentum window too wide at tau={t}")
+        rows_of_half.setdefault(half, []).append(j)
+    flat, tau_of_row = lam.ravel(), np.array(taus)
+    center = np.round(flat)
+    f = flat - center
+    n = flat.size
+    mu, nu, log_z = (np.empty((len(taus), n)) for _ in range(3))
+    for half, rows in rows_of_half.items():
+        k = np.arange(-half, half + 1, dtype=float)
+        # A block is several whole rows, or a run of lambdas of one row.
+        row_step = max(1, _BLOCK_TERMS // (k.size * max(n, 1)))
+        lam_step = max(1, _BLOCK_TERMS // k.size)
+        for i in range(0, n, lam_step):
+            ls = slice(i, i + lam_step)
+            # The numerators of the log-weights, shared by every row.
+            exponent = -k * (k - 2.0 * f[ls, None])
+            ground = -center[ls] * (center[ls] - 2.0 * flat[ls])
+            for r in range(0, len(rows), row_step):
+                block = rows[r:r + row_step]
+                if block[-1] - block[0] == len(block) - 1:  # index adjacent rows by a slice
+                    block = slice(block[0], block[-1] + 1)
+                two_tau = 2.0 * tau_of_row[block][:, None]
+                w = np.exp(exponent / two_tau[:, :, None])
+                norm, wk = w.sum(axis=2), w * k
+                mu[block, ls] = mu_b = wk.sum(axis=2) / norm
+                nu[block, ls] = nu_b = (wk * k).sum(axis=2) / norm
+                log_z[block, ls] = ground / two_tau + np.log(norm)
+                ok = (np.abs(mu_b - f[ls]) <= 0.5 + 1e-12) & (nu_b - mu_b * mu_b >= -1e-9)
+                if not ok.all():
+                    bad = rows[r + int(np.argwhere(~ok)[0, 0])]
+                    raise DomainError(f"momentum moments out of range at tau={taus[bad]}: "
+                                      "|epsilon| > 1/2 or negative variance")
+    shape = tau.shape + lam.shape
+    terms = np.array([2 * half + 1 for half in halves], dtype=int).reshape(tau.shape)[()]
+    return mu.reshape(shape), nu.reshape(shape), log_z.reshape(shape), terms
 
 
 def momentum_stats(lam: float, tau: float) -> MomentumStats:
@@ -119,10 +150,10 @@ def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
 
     in which the lambda^2 and f^2 terms have cancelled algebraically, so the
     heats keep full precision at any |lambda| and near the ground state.
-    The hot moments are one momentum_moments call per tau_h row.
+    The hot moments of the whole grid are one momentum_moments call.
     """
     mu_c, nu_c, _, _ = momentum_moments(lam_c, tau_c)
-    mu_h, nu_h = np.array([momentum_moments(lam_h, tau)[:2] for tau in tau_h]).transpose(1, 0, 2)
+    mu_h, nu_h, _, _ = momentum_moments(lam_h, tau_h)
     c_h, c_c = np.round(lam_h), round(lam_c)
     f_h, f_c, shift = lam_h - c_h, lam_c - c_c, c_h - c_c
     q_c = 0.5 * (nu_c - nu_h) + f_c * (mu_h - mu_c) - shift * (mu_h - f_c + 0.5 * shift)
@@ -139,7 +170,8 @@ def optimal_work_scan(
     """Grid-minimize the per-cycle work over hot-stroke parameters.
 
     Returns the minimizing CyclePoint and W_min (units of E); grid rows
-    with tau_h < tau_c are skipped.  For lambda_c -> 1/2 from below and
+    with tau_h < tau_c are skipped.  The axes are checked as a sweep's
+    (grid_axis), but one point each suffices.  For lambda_c -> 1/2 from below and
     tau_c -> 0, W_min approaches -E/16 from above with minimizer
     lambda_h -> lambda_c/2; the mirrored branch lambda_c > 1/2 with
     lambda_h = (1 + lambda_c)/2 gives the same optimum.
@@ -152,9 +184,8 @@ def optimal_work_scan(
     tau_c = 1e-4, equal to the gap, <L_z>_c = 1/(1 + e) and this bound is
     -0.0133 E, far above -E/16.
     """
-    (lam_lo, lam_hi, lam_n), (tau_lo, tau_hi, tau_n) = lambda_h_range, tau_h_range
-    lams = np.linspace(lam_lo, lam_hi, validate_count(lam_n, 1, "optimal_work_scan lambda_h axis"))
-    taus = np.linspace(tau_lo, tau_hi, validate_count(tau_n, 1, "optimal_work_scan tau_h axis"))
+    lams = grid_axis(lambda_h_range, "optimal_work_scan lambda_h axis", minimum=1)
+    taus = grid_axis(tau_h_range, "optimal_work_scan tau_h axis", minimum=1)
     taus = taus[~(taus < tau_c)]
     if taus.size == 0:
         raise DomainError("optimal_work_scan grid contains no tau_h >= tau_c")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
-from itertools import repeat, starmap
 
 import numpy as np
 
@@ -31,29 +31,14 @@ from .cycle import (
     classify_modes,
     json_float,
 )
-from .units import CyclePoint, DomainError, validate_count, validate_tolerance
-
-SCALE_LINEAR = "linear"
-SCALE_LOG = "log"
-
-
-def _axis(rng: tuple[float, float, int], what: str, scale: str = SCALE_LINEAR) -> np.ndarray:
-    """Read-only points of rng = (min, max, count); DomainError unless min < max are
-    finite, count >= 2 and every point is finite (linspace overflows where max - min does)."""
-    lo, hi, count = rng
-    count = validate_count(count, 2, what)
-    if not -math.inf < lo < hi < math.inf:
-        raise DomainError(f"{what} needs finite min < max, got ({lo}, {hi})")
-    if scale not in (SCALE_LINEAR, SCALE_LOG):
-        raise DomainError(f"unknown scale {scale!r}")
-    if scale == SCALE_LOG and lo <= 0.0:
-        raise DomainError(f"log-scaled {what} needs min > 0, got {lo}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        axis = (np.geomspace if scale == SCALE_LOG else np.linspace)(lo, hi, count)
-    if not np.isfinite(axis).all():
-        raise DomainError(f"{what} has non-finite points between {lo} and {hi}")
-    axis.flags.writeable = False
-    return axis
+from .units import (
+    SCALE_LINEAR,
+    CyclePoint,
+    DomainError,
+    grid_axis,
+    validate_control,
+    validate_tolerance,
+)
 
 
 @dataclass(frozen=True)
@@ -75,13 +60,16 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_tags(self.machine, self.model)
-        lams = _axis(self.lambda_h_range, "lambda_h axis", self.lambda_scale)
-        taus = _axis(self.tau_h_range, "tau_h axis", self.tau_scale)
+        lams = grid_axis(self.lambda_h_range, "lambda_h axis", self.lambda_scale)
+        taus = grid_axis(self.tau_h_range, "tau_h axis", self.tau_scale)
         # Counts kept as plain ints: a numpy integer does not serialize to JSON.
         object.__setattr__(self, "lambda_h_range", (*self.lambda_h_range[:2], len(lams)))
         object.__setattr__(self, "tau_h_range", (*self.tau_h_range[:2], len(taus)))
         # With finite axes, the cell at the lowest tau_h checks the rest of the domain.
         CyclePoint(lams[0], self.lambda_c, taus.min(), self.tau_c)
+        if self.machine == MACHINE_ELECTRIC:  # whose lambda is a field strength
+            for lam in (lams[0], self.lambda_c):
+                validate_control(lam, require_nonnegative=True)
         object.__setattr__(self, "_axes", (lams, taus))
 
     def lambda_axis(self) -> np.ndarray:
@@ -199,11 +187,11 @@ def momentum_curve(
     lambda_range: tuple[float, float, int], taus: list[float]
 ) -> list[tuple[float, float, float, float]]:
     """Rows (lambda, tau, <L_z>/hbar, epsilon) of the thermal momentum curve."""
-    lams = _axis(lambda_range, "lambda range")
+    lams = grid_axis(lambda_range, "lambda range")
     centers = np.round(lams)
+    mus = qmagnetic.momentum_moments(lams, taus)[0]
     rows = []
-    for tau in taus:
-        mu = qmagnetic.momentum_moments(lams, tau)[0]
+    for tau, mu in zip(taus, mus):
         rows += zip(lams.tolist(), [float(tau)] * len(lams), (centers + mu).tolist(),
                     (mu - (lams - centers)).tolist())
     return rows
@@ -306,23 +294,58 @@ CSV_COLUMNS = [
 ]
 
 
-def _cell_texts(grid: SweepGrid, real, absent: str, tag):
-    """Per tau_h row, an iterator over its cells as tuples of text in CSV_COLUMNS order.
+# One cell of each file format, a text with a {key} field for each of
+# CSV_COLUMNS, and the texts that stand for NaN (an absent efficiency or COP)
+# and +-inf in place of their repr.  Each JSON cell is preceded by ", " (cut
+# before the first); machine and model names (check_tags) and modes
+# (classify_modes) need no quoting or escaping.
+_CSV_CELL = ",".join(f"{{{key}}}" for key in CSV_COLUMNS) + "\r\n"
+_CSV_NONFINITE = {"nan": ""}
+_JSON_CELL = ", {" + ", ".join(
+    f'"{key}": "{{{key}}}"' if key in ("mode", "machine", "model") else f'"{key}": {{{key}}}'
+    for key in JSON_KEYS) + "}"
+_JSON_NONFINITE = {"nan": "null"} | {repr(x): json_float(x) for x in (math.inf, -math.inf)}
 
-    real formats a Python float (tolist(): the repr of a numpy float names its
-    type), tag a machine, model or mode name, and absent stands for a NaN
-    efficiency or COP.  The axes and the constant columns are formatted once;
-    one row at a time is held.
+
+def _row_texts(grid: SweepGrid, template: str, nonfinite: dict):
+    """Per tau_h row, the text of its cells through template, in one join.
+
+    The template is cut once at the fields that differ between cells, with
+    the grid's constant fields (lambda_c, tau_c, machine, model) formatted
+    into its pieces; each row's tau_h is formatted once.  A row's text
+    interleaves the pieces with its cells' texts, column by column: the
+    shortest round-trip decimals of a column's values, with those of NaN and
+    +-inf replaced by their texts in nonfinite where a row holds any.  One
+    row at a time is held.
     """
     spec = grid.spec
-    lams = list(map(real, spec.lambda_axis().tolist()))
-    fixed = [real(float(spec.lambda_c)), real(float(spec.tau_c)), tag(spec.machine), tag(spec.model)]
+    fixed = {"lambda_c": repr(float(spec.lambda_c)), "tau_c": repr(float(spec.tau_c)),
+             "machine": spec.machine, "model": spec.model}
+    cut = re.split(r"{(\w+)}", template)  # literal text at even positions, keys at odd ones
+    pieces, columns = [cut[0]], []  # constant text around the per-cell fields, and their keys
+    for key, literal in zip(cut[1::2], cut[2::2]):
+        if key in fixed:
+            pieces[-1] += fixed[key] + literal
+        else:
+            columns.append(key)
+            pieces.append(literal)
+    n, k = spec.lambda_h_range[2], len(pieces) + len(columns)
+    parts = [""] * (n * k)
+    for p, piece in enumerate(pieces):
+        parts[2 * p::k] = [piece] * n
+    values = {key: getattr(grid, key) for key in ("q_c", "q_h", "w", "efficiency", "cop")}
+    finite = {key: np.isfinite(a).all(axis=1).tolist() for key, a in values.items()}
+    texts = {"lambda_h": list(map(repr, spec.lambda_axis().tolist()))}
     for j, tau_h in enumerate(spec.tau_axis().tolist()):
-        heats = [map(real, a[j].tolist()) for a in (grid.q_c, grid.q_h, grid.w)]
-        optionals = [[absent if math.isnan(x) else real(x) for x in a[j].tolist()]
-                     for a in (grid.efficiency, grid.cop)]
-        yield zip(lams, *map(repeat, [real(tau_h), *fixed]), *heats,
-                  map(tag, grid.mode[j].tolist()), *optionals)
+        texts.update(tau_h=[repr(tau_h)] * n, mode=grid.mode[j].tolist())
+        for key, a in values.items():
+            # tolist(): the repr of a numpy float names its type.
+            texts[key] = column = list(map(repr, a[j].tolist()))
+            if not finite[key][j]:
+                texts[key] = list(map(nonfinite.get, column, column))
+        for c, key in enumerate(columns):
+            parts[2 * c + 1::k] = texts[key]
+        yield "".join(parts)
 
 
 def _write(path, what: str, emit) -> None:
@@ -344,13 +367,13 @@ def write_csv(grid: SweepGrid, path) -> None:
 
     The bytes are those of csv.writer: str of a float is its repr, and no
     field needs quoting, since every text field is a machine or model name
-    (check_tags) or a mode (classify_modes).
+    (check_tags) or a mode (classify_modes).  Each tau_h row of the grid is
+    formatted column by column and written in one piece (_row_texts).
     """
 
     def emit(fh):
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for row in _cell_texts(grid, str, "", str):
-            fh.write("".join(",".join(cell) + "\r\n" for cell in row))
+        fh.writelines(_row_texts(grid, _CSV_CELL, _CSV_NONFINITE))
 
     _write(path, "CSV", emit)
 
@@ -359,16 +382,14 @@ def write_json(grid: SweepGrid, path) -> None:
     """JSON: the spec, the cells in the CycleReport schema (row-major), the boundaries.
 
     The document is written as json.dump would write it, one tau_h row at a
-    time, except that an infinite COP is written 1e999 (json_float).
+    time, formatted column by column (_row_texts), except that an infinite
+    heat, work or COP is written 1e999 (json_float).
     """
-    cell = "{{" + ", ".join(f'"{key}": {{{CSV_COLUMNS.index(key)}}}' for key in JSON_KEYS) + "}}"
 
     def emit(fh):
-        fh.write('{"spec": ' + json.dumps(grid.spec.to_dict()) + ', "cells": [')
-        sep = ""
-        for row in _cell_texts(grid, json_float, "null", json.dumps):
-            fh.write(sep + ", ".join(starmap(cell.format, row)))
-            sep = ", "
+        rows = _row_texts(grid, _JSON_CELL, _JSON_NONFINITE)
+        fh.write('{"spec": ' + json.dumps(grid.spec.to_dict()) + ', "cells": [' + next(rows)[2:])
+        fh.writelines(rows)
         fh.write('], "boundary_engine": ' + json.dumps(grid.boundary_engine)
                  + ', "boundary_fridge": ' + json.dumps(grid.boundary_fridge) + "}\n")
 

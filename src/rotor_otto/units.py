@@ -3,7 +3,8 @@
 All physics is computed in reduced units: energies in E = hbar^2/I (the
 rotational energy quantum), temperatures as tau = k_B T / E, and angular
 momentum in units of hbar.  Absolute constants cancel from every observable,
-so no SI conversion is provided anywhere in the package.
+so no SI conversion is provided anywhere in the package.  The domain checks
+of a value and of a grid axis live here, with the value types.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
+
+SCALE_LINEAR = "linear"
+SCALE_LOG = "log"
 
 
 class DomainError(ValueError):
@@ -45,6 +51,26 @@ def validate_count(count, minimum: int, what: str) -> int:
     if count < minimum:
         raise DomainError(f"{what} needs count >= {minimum}, got {count}")
     return count
+
+
+def grid_axis(rng: tuple[float, float, int], what: str, scale: str = SCALE_LINEAR,
+              minimum: int = 2) -> np.ndarray:
+    """Read-only points of rng = (min, max, count); DomainError unless min < max are
+    finite, count >= minimum and every point is finite (linspace overflows where max - min does)."""
+    lo, hi, count = rng
+    count = validate_count(count, minimum, what)
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"{what} needs finite min < max, got ({lo}, {hi})")
+    if scale not in (SCALE_LINEAR, SCALE_LOG):
+        raise DomainError(f"unknown scale {scale!r}")
+    if scale == SCALE_LOG and lo <= 0.0:
+        raise DomainError(f"log-scaled {what} needs min > 0, got {lo}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = (np.geomspace if scale == SCALE_LOG else np.linspace)(lo, hi, count)
+    if not np.isfinite(axis).all():
+        raise DomainError(f"{what} has non-finite points between {lo} and {hi}")
+    axis.flags.writeable = False
+    return axis
 
 
 def validate_control(lam: float, require_nonnegative: bool = False) -> float:

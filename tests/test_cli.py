@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -250,6 +251,23 @@ class TestOptimumCommand:
         result = json.loads(out)
         assert result["w_min"] < -0.05
         assert 0.2 <= result["lambda_h"] <= 0.3
+
+    def test_infinite_lambda_end_exits_2_without_warning(self, capsys):
+        # The hot axis is checked as a sweep's is, before numpy sees inf - 0.2.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                [
+                    "optimum", "--lambda-c", "0.485", "--tau-c", "0.001",
+                    "--lambda-h-min", "0.2", "--lambda-h-max", "inf", "--lambda-h-count", "3",
+                    "--tau-h-min", "0.5", "--tau-h-max", "1.5", "--tau-h-count", "3",
+                ],
+                capsys,
+            )
+        assert code == 2
+        assert out == ""
+        assert err == "error: optimal_work_scan lambda_h axis needs finite min < max, got (0.2, inf)\n"
+        assert caught == []
 
 
 class TestSelftestCommand:

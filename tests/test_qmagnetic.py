@@ -1,9 +1,15 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from rotor_otto.qmagnetic import cycle_heats_magnetic, momentum_stats, optimal_work_scan
+from rotor_otto.qmagnetic import (
+    cycle_heats_magnetic,
+    momentum_moments,
+    momentum_stats,
+    optimal_work_scan,
+)
 from rotor_otto.selftest import quantum_partition_magnetic_theta
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
@@ -92,6 +98,34 @@ class TestMomentumStats:
         # epsilon pulls toward the closest integer at low temperature
         eps = momentum_stats(lam, 0.01).epsilon
         assert (eps < 0) == negative
+
+
+class TestMomentumMoments:
+    # tau_h in [0.5, 1.5] with 12 rows puts 3 rows in each of two window
+    # widths; 1001 lambdas split a width's pairs across blocks mid-row.
+    @pytest.mark.parametrize("lam_count", [6, 1001])
+    def test_tau_array_equals_per_tau_calls_bit_for_bit(self, lam_count):
+        lams, taus = np.linspace(-1.0, 2.5, lam_count), np.linspace(0.5, 1.5, 12)
+        grouped = momentum_moments(lams, taus)
+        widths = collections.Counter(grouped[3].tolist())
+        assert sum(rows >= 3 for rows in widths.values()) >= 2
+        for j, tau in enumerate(taus):
+            mu, nu, log_z, terms = momentum_moments(lams, tau)
+            for a, b in zip(grouped[:3], (mu, nu, log_z)):
+                assert np.array_equal(a[j], b)
+            assert terms == grouped[3][j]
+
+    def test_shapes(self):
+        lams = np.zeros((2, 3))
+        assert [np.shape(v) for v in momentum_moments(lams, 0.5)] == [(2, 3)] * 3 + [()]
+        assert [np.shape(v) for v in momentum_moments(lams, [0.5] * 4)] == [(4, 2, 3)] * 3 + [(4,)]
+        assert [np.shape(v) for v in momentum_moments(lams, [])] == [(0, 2, 3)] * 3 + [(0,)]
+
+    def test_first_bad_tau_named(self):
+        with pytest.raises(DomainError, match=r"got -1\.0$"):
+            momentum_moments([0.1], [0.5, -1.0, math.nan])
+        with pytest.raises(ConvergenceError, match=r"^momentum window too wide at tau=1e\+16$"):
+            momentum_moments([0.1], [0.5, 1e16, 1e17])
 
 
 class TestLargeLambda:

@@ -97,12 +97,20 @@ class TestSweepSpec:
         (dict(lambda_c=math.nan), "control parameter must be finite, got nan"),
         (dict(tau_c=math.inf), "reduced temperature must be finite and > 0, got inf"),
         (dict(tau_c=2.0), "hot reservoir colder than cold one: tau_h=1.0 < tau_c=2.0"),
+        # The electric machine's lambda is a field strength.
+        (dict(lambda_h_range=(-1.0, 8.0, 3)), "control parameter must be >= 0 here, got -1.0"),
+        (dict(lambda_c=-0.5), "control parameter must be >= 0 here, got -0.5"),
     ], ids=["lambda max inf", "lambda min -inf", "lambda min nan", "tau max inf", "tau max nan",
-            "lambda overflow", "lambda_c nan", "tau_c inf", "tau_c above tau_h"])
+            "lambda overflow", "lambda_c nan", "tau_c inf", "tau_c above tau_h",
+            "electric lambda_h min negative", "electric lambda_c negative"])
     def test_domain_checked_at_construction(self, overrides, message):
         # Every cell of a spec is a valid cycle point, so run_sweep checks no domain.
         with pytest.raises(DomainError, match=re.escape(message)):
             small_spec(**overrides)
+
+    def test_magnetic_lambda_takes_either_sign(self):
+        spec = small_spec(machine="magnetic", lambda_h_range=(-1.0, 8.0, 3), lambda_c=-0.5)
+        assert spec.lambda_axis()[0] == -1.0
 
     def test_axes_computed_once_and_read_only(self):
         # cell() indexes the axes on every call; they are built once per spec.
@@ -193,6 +201,9 @@ class TestRunSweep:
         ("electric", "quantum", 1.0, 0.05, (1.0, 8.0, 4), (1.0, 6.0, 3)),
         ("magnetic", "classical", 0.4, 0.5, (-2.0, 2.0, 5), (1.0, 6.0, 4)),
         ("magnetic", "quantum", 0.485, 0.001, (0.0, 0.5, 6), (0.01, 2.0, 5)),
+        # Three tau_h rows in each of two momentum window widths: the grid's
+        # rows are summed together, each cell alone.
+        ("magnetic", "quantum", 0.485, 0.001, (0.0, 0.5, 6), (0.5, 1.5, 12)),
     ],
 )
 def test_grid_cells_equal_point_evaluations(machine, model, lambda_c, tau_c, lam, tau):
@@ -309,10 +320,11 @@ class TestBoundaries:
                 assert xs[1] <= x <= xs[2]
 
 
-@pytest.fixture(params=["as run", "infinite COP"])
+@pytest.fixture(params=["as run", "infinite COP", "infinite heat"])
 def mixed_grid(request):
     """A grid with all three modes on a log-scaled tau_h axis; optionally one COP is inf,
-    as classify_modes gives a refrigerator with W = 0."""
+    as classify_modes gives a refrigerator with W = 0, or one Q_c is inf and one W -inf,
+    so that the writers' non-finite branch formats a heat column."""
     spec = SweepSpec((0.0, 0.5, 9), (0.01, 2.0, 7), 0.485, 0.001, "magnetic", "quantum",
                      tau_scale="log")
     grid = run_sweep(spec)
@@ -321,6 +333,10 @@ def mixed_grid(request):
         cop = grid.cop.copy()
         cop[tuple(np.argwhere(grid.mode == "Refrigerator")[0])] = np.inf
         grid = dataclasses.replace(grid, cop=cop)
+    if request.param == "infinite heat":
+        q_c, w = grid.q_c.copy(), grid.w.copy()
+        q_c[2, 4], w[5, 1] = np.inf, -np.inf
+        grid = dataclasses.replace(grid, q_c=q_c, w=w)
     return grid
 
 
@@ -394,8 +410,8 @@ class TestSerialization:
             "boundary_engine": mixed_grid.boundary_engine,
             "boundary_fridge": mixed_grid.boundary_fridge,
         }
-        # json.dumps writes an infinite COP as Infinity, which is not JSON.
-        expected = json.dumps(doc).replace('"cop": Infinity', '"cop": 1e999')
+        # json.dumps writes an infinity as Infinity, which is not JSON.
+        expected = json.dumps(doc).replace(": Infinity", ": 1e999").replace(": -Infinity", ": -1e999")
         assert path.read_bytes() == (expected + "\n").encode()
         assert read_json(path).cells == mixed_grid.cells
 
@@ -406,6 +422,8 @@ class TestSerialization:
         doc = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
         cops = [None if math.isnan(c) else c for c in mixed_grid.cop.flat]
         assert [cell["cop"] for cell in doc["cells"]] == cops
+        for key in ("q_c", "w"):
+            assert [cell[key] for cell in doc["cells"]] == getattr(mixed_grid, key).ravel().tolist()
 
     def test_csv_bytes_equal_csv_writer(self, mixed_grid, tmp_path):
         path = tmp_path / "grid.csv"
@@ -432,8 +450,10 @@ class TestSerialization:
         (lambda doc: doc["cells"][8].update(cop="inf"), "cell 8: cop is 'inf', not a number"),
         (lambda doc: [d.update(tau_c=2.0) for d in [doc["spec"], *doc["cells"]]],
          "hot reservoir colder than cold one: tau_h=1.0 < tau_c=2.0"),
+        (lambda doc: [d.update(lambda_c=-0.5) for d in [doc["spec"], *doc["cells"]]],
+         "control parameter must be >= 0 here, got -0.5"),
     ], ids=["too few cells", "missing key", "unknown mode", "foreign lambda_h", "foreign machine",
-            "bool tau_h", "string heat", "string cop", "tau_c above tau_h"])
+            "bool tau_h", "string heat", "string cop", "tau_c above tau_h", "negative electric lambda_c"])
     def test_malformed_json_rejected_with_path(self, edit, message, tmp_path):
         path = tmp_path / "grid.json"
         write_json(run_sweep(small_spec(lambda_h_range=(1.0, 4.0, 3), tau_h_range=(1.0, 3.0, 3))), path)
