@@ -37,7 +37,9 @@ def classical_cycle_electric(lam_h, tau_h, lam_c: float, tau_c: float):
     """
     validate_control(min(lam_h.min(), lam_c), require_nonnegative=True)
     m, lam, tau = _mean_energy_electric, lam_h[None, :], tau_h[:, None]
-    r_h, r_c = bessel_ratio_i1_i0(lam / (2.0 * tau)), bessel_ratio_i1_i0(lam_c / (2.0 * tau_c))
+    with np.errstate(over="ignore"):  # an x past the float range is capped: i1e/i0e is 1.0 there, as I1/I0 -> 1
+        x_h, x_c = lam / (2.0 * tau), lam_c / (2.0 * tau_c)
+    r_h, r_c = (bessel_ratio_i1_i0(np.minimum(x, np.finfo(float).max)) for x in (x_h, x_c))
     return heats(m(lam, r_h, tau), m(lam_h, r_c, tau_c), m(lam_c, r_h, tau), m(lam_c, r_c, tau_c))
 
 

@@ -50,7 +50,7 @@ from .units import (
 )
 
 _INITIAL_CUTOFF = 32
-_MAX_CUTOFF = 1 << 15
+_MAX_CUTOFF = 1 << 12  # the eigenvectors of both parity blocks take about 270 MB here
 # Below this tau the Boltzmann weights underflow; the ground-state-only
 # average is exact in that limit.
 _GROUND_STATE_TAU = 1e-6
@@ -170,7 +170,7 @@ def pendulum_column_averages(
     twice the cutoff, and one that passed is not evaluated at larger M.  So a
     tau's cutoff and averages do not depend on the other taus of the call.
     Raises ConvergenceError, naming the first tau left uncertified, when
-    M = 2^15 does not certify it.
+    M = 2^12 does not certify it (before any solve, if its tail needs more).
     """
     lam = validate_control(lam, require_nonnegative=True)
     taus = np.array([validate_temperature(tau) for tau in np.ravel(taus).tolist()])

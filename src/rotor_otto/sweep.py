@@ -214,67 +214,53 @@ def _marching_squares(
 ) -> list[list[tuple[float, float]]]:
     """Zero-crossing polylines of f[i_x, i_y] sampled on the (xs, ys) node grid.
 
-    The corners of cell (i, j) are taken in the order (i, j), (i+1, j),
-    (i+1, j+1), (i, j+1); edge k runs from corner k to corner k+1, and a
-    crossing is interpolated from the edge's first corner.
+    An edge whose ends differ in sign (f > 0 against f <= 0) holds one
+    crossing: the end where f == 0 if there is one, else the point
+    interpolated linearly from its lower node.  Vertices are numbered by
+    node or by edge, and segments are joined by these numbers.
     """
+    nx, ny = f.shape
     pos = f > 0.0
-    x, y = np.meshgrid(xs, ys, indexing="ij")
-    lo, hi = slice(None, -1), slice(1, None)
-    corners = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
-    edges = []  # (sign change, crossing x, crossing y) of each cell's edge k
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        with np.errstate(divide="ignore", invalid="ignore"):  # edges without a sign change
-            t = f[a] / (f[a] - f[b])
-            edges.append((pos[a] != pos[b], x[a] + t * (x[b] - x[a]), y[a] + t * (y[b] - y[a])))
-    segments = []
-    # Two crossings make one segment; a saddle cell's four pair in edge order.
-    for i, j in zip(*np.nonzero(sum(change for change, _, _ in edges))):
-        crossings = [(float(cx[i, j]), float(cy[i, j])) for change, cx, cy in edges if change[i, j]]
-        segments.append((crossings[0], crossings[1]))
-        if len(crossings) == 4:
-            segments.append((crossings[2], crossings[3]))
-    return _chain_segments(segments)
+    a, b = pos[:-1] != pos[1:], pos[:, :-1] != pos[:, 1:]  # sign changes along x, along y
+    # The cells in row-major order, the edges of cell (i, j) in the order
+    # along x at j, along y at i + 1, along x at j + 1, along y at i.  A cell
+    # holds two crossings, one segment, or four (a saddle), paired in order.
+    i, j, e = np.nonzero(np.stack((a[:, :-1], b[1:], a[:, 1:], b[:-1]), axis=-1))
+    along_y = e % 2
+    lo = (i + (e == 1), j + (e == 2))  # the lower node of each crossing's edge
+    hi = (lo[0] + 1 - along_y, lo[1] + along_y)
+    hi_zero = f[hi] == 0.0
+    node = tuple(np.where(hi_zero, h, l) for h, l in zip(hi, lo))  # a zero end, else the lower node
+    with np.errstate(divide="ignore", invalid="ignore"):  # an infinite or NaN f
+        t = np.where(hi_zero, 0.0, f[lo] / (f[lo] - f[hi]))
+    x = xs[node[0]] + t * (xs[hi[0]] - xs[lo[0]])
+    y = ys[node[1]] + t * (ys[hi[1]] - ys[lo[1]])
+    # Vertex numbers: k = i * ny + j for node (i, j) where f == 0, and
+    # k + nx ny or k + 2 nx ny for the edge along x or y from node k.
+    ids = np.where(f[node] == 0.0, 0, 1 + along_y) * nx * ny + node[0] * ny + node[1]
+    vertices = dict(zip(ids.tolist(), zip(x.tolist(), y.tolist())))
+    return [[vertices[v] for v in line] for line in _chain_segments(ids.reshape(-1, 2).tolist())]
 
 
-def _chain_segments(segments) -> list[list[tuple[float, float]]]:
-    """Merge shared-endpoint segments into polylines (greedy walk)."""
-
-    def key(p):
-        return (round(p[0], 12), round(p[1], 12))
-
-    adjacency: dict = {}
-    for seg in segments:
-        a, b = key(seg[0]), key(seg[1])
-        adjacency.setdefault(a, []).append((seg, 1))
-        adjacency.setdefault(b, []).append((seg, -1))
-
-    used = set()
+def _chain_segments(segments: list[list[int]]) -> list[list[int]]:
+    """Join segments that share a vertex number into polylines (greedy walk)."""
+    adjacency: dict[int, list[int]] = {}
+    for s, ends in enumerate(segments):
+        for v in ends:
+            adjacency.setdefault(v, []).append(s)
+    used = [False] * len(segments)
     polylines = []
-    for start_seg in segments:
-        if id(start_seg) in used:
+    for s, (head, tail) in enumerate(segments):
+        if used[s]:
             continue
-        used.add(id(start_seg))
-        line = [start_seg[0], start_seg[1]]
-        # extend forward from the tail, then backward from the head
-        for endpoint_idx, append in ((-1, True), (0, False)):
-            while True:
-                end = key(line[endpoint_idx])
-                nxt = None
-                for seg, _ in adjacency.get(end, []):
-                    if id(seg) not in used:
-                        nxt = seg
-                        break
-                if nxt is None:
-                    break
-                used.add(id(nxt))
-                point = nxt[1] if key(nxt[0]) == end else nxt[0]
-                if append:
-                    line.append(point)
-                else:
-                    line.insert(0, point)
-        polylines.append([(float(x), float(y)) for x, y in line])
+        used[s] = True
+        forward, backward = [tail], [head]
+        for half in (forward, backward):  # extend forward from the tail, then backward from the head
+            while (nxt := next((t for t in adjacency[half[-1]] if not used[t]), None)) is not None:
+                used[nxt] = True
+                a, b = segments[nxt]
+                half.append(b if a == half[-1] else a)
+        polylines.append(backward[::-1] + forward)
     return polylines
 
 

@@ -72,6 +72,19 @@ class TestCycleCommand:
         report = json.loads(out, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
         assert (report["w"], report["mode"], report["cop"]) == (0.0, "Refrigerator", math.inf)
 
+    def test_overflowing_bessel_argument_takes_the_limit(self, capsys):
+        # lambda_h/(2 tau_h) = 5e599 is beyond the float range; I1/I0 -> 1 there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["cycle", "--machine", "electric", "--model", "classical", "--lambda-h", "1e300",
+                 "--lambda-c", "1", "--tau-h", "1e-300", "--tau-c", "1e-300"],
+                capsys,
+            )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["q_c"], report["q_h"], report["w"], report["mode"]) == (0.0, 0.0, 0.0, "Heater")
+
     def test_invalid_point_exits_2(self, capsys):
         code, _, err = run_cli(
             [
@@ -136,6 +149,19 @@ class TestInvalidTolerance:
         assert code == 2
         assert out == ""
         assert f"error: tol must be finite and > 0, got {float(tol)}" in err
+
+
+class TestPendulumCutoffCap:
+    def test_tau_beyond_the_ladder_exits_3_without_a_solve(self, no_eigensolve, capsys):
+        # At tau = 1e6 the ladder would start at M = 16384, whose eigenvectors
+        # take gigabytes; the free-rotor tail rejects it before any solve.
+        code, out, err = run_cli(
+            ["cycle", "--machine", "electric", "--model", "quantum", "--lambda-h", "1",
+             "--lambda-c", "0.5", "--tau-h", "1e6", "--tau-c", "1e6"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: stroke averages not converged at lambda=0.5, tau=1000000.0 up to M=4096\n"
 
 
 class TestUnwritableOutput:

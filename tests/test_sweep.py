@@ -7,6 +7,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotor_otto import sweep
 from rotor_otto.sweep import (
@@ -184,7 +187,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("spec, message", [
         (MAGNETIC_WINDOW_FAILURE, "momentum window too wide at tau=1000000000000.5"),
-        # tau = 1e8 needs a cutoff beyond 2^15: its free-rotor tail fails before any solve.
+        # tau = 1e8 needs a cutoff beyond 2^12: its free-rotor tail fails before any solve.
         (SweepSpec((1.0, 20.0, 2), (1.0, 1e8, 2), 1.0, 0.05, "electric", "quantum"),
          "stroke averages not converged at lambda=1.0, tau=100000000.0"),
     ], ids=["magnetic window", "pendulum cutoff"])
@@ -318,6 +321,69 @@ class TestBoundaries:
         for line in lines:
             for x, _ in line:
                 assert xs[1] <= x <= xs[2]
+
+    def test_crossing_shared_by_two_cells_joins_one_polyline(self):
+        # Cells (0, 0) and (1, 0) both end at the crossing on the edge x = 1,
+        # whose y interpolated from either end of the edge differs in the
+        # last bit, on either side of a 12-digit rounding boundary.
+        lines = _marching_squares(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.92]),
+                                  np.array([[-1.0, 1.0], [-0.966, 0.425], [-1.0, 1.0]]))
+        assert len(lines) == 1
+        assert lines[0] == pytest.approx([(2.0, 1.46), (1.0, 2.0278360891445), (0.0, 1.46)], rel=1e-15)
+
+
+# Small fields on uneven axes.  Quarter steps make exact zeros, saddles and
+# flat regions common, and keep every interpolated crossing off the nodes.
+FIELDS = st.tuples(st.integers(2, 6), st.integers(2, 6)).flatmap(lambda shape: st.tuples(
+    arrays(float, shape, elements=st.integers(-4, 4).map(lambda k: k / 4)),
+    *(st.lists(st.sampled_from([0.5, 1.0, 2.5]), min_size=n, max_size=n) for n in shape)))
+
+
+def _vertex_kind(xs, ys, f, p):
+    """('zero', node) at a node where f == 0, ('edge', (i, j, axis)) on a sign-changing edge, else None."""
+    x, y = p
+    i = int(np.searchsorted(xs, x, side="right")) - 1
+    j = int(np.searchsorted(ys, y, side="right")) - 1
+    on_x, on_y = xs[i] == x, ys[j] == y
+    if on_x and on_y:
+        return ("zero", (i, j)) if f[i, j] == 0.0 else None
+    if on_y and (f[i, j] > 0) != (f[i + 1, j] > 0) and 0.0 not in (f[i, j], f[i + 1, j]):
+        return ("edge", (i, j, 0))
+    if on_x and (f[i, j] > 0) != (f[i, j + 1] > 0) and 0.0 not in (f[i, j], f[i, j + 1]):
+        return ("edge", (i, j, 1))
+    return None
+
+
+def _cells_of(xs, ys, p):
+    return {(i, j) for i in range(len(xs) - 1) for j in range(len(ys) - 1)
+            if xs[i] <= p[0] <= xs[i + 1] and ys[j] <= p[1] <= ys[j + 1]}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(FIELDS)
+def test_marching_squares_topology(field):
+    f, dx, dy = field
+    xs, ys = np.cumsum(dx), np.cumsum(dy)
+    lines = _marching_squares(xs, ys, f)
+    kinds = [[_vertex_kind(xs, ys, f, p) for p in line] for line in lines]
+    # Every vertex is a zero node or lies on an edge whose ends differ in sign.
+    assert all(kind is not None for line in kinds for kind in line)
+    # Consecutive vertices of a polyline lie on one cell.
+    for line in lines:
+        assert len(line) >= 2
+        assert all(_cells_of(xs, ys, p) & _cells_of(xs, ys, q) for p, q in zip(line, line[1:]))
+    # Each crossing appears in exactly one polyline, once; only a closed loop repeats its first vertex.
+    crossings = [kind for line, line_kinds in zip(lines, kinds)
+                 for kind in line_kinds[:-1 if line[0] == line[-1] else None] if kind[0] == "edge"]
+    pos = f > 0
+    along_x = (pos[:-1] != pos[1:]) & (f[:-1] != 0) & (f[1:] != 0)
+    along_y = (pos[:, :-1] != pos[:, 1:]) & (f[:, :-1] != 0) & (f[:, 1:] != 0)
+    assert len(crossings) == len(set(crossings)) == along_x.sum() + along_y.sum()
+    # The walk stops at a vertex once all its segments are used, so no
+    # polyline holds an end vertex of an earlier one: no two polylines share
+    # an end vertex, not even a zero node.
+    for k, line_kinds in enumerate(kinds):
+        assert not {line_kinds[0], line_kinds[-1]} & set().union(*kinds[k + 1:])
 
 
 @pytest.fixture(params=["as run", "infinite COP", "infinite heat"])
