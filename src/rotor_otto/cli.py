@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cycle.add_argument("--lambda-c", type=float, required=True, dest="lambda_c")
     p_cycle.add_argument("--tau-h", type=float, required=True, dest="tau_h")
     p_cycle.add_argument("--tau-c", type=float, required=True, dest="tau_c")
-    p_cycle.add_argument("--tol", type=float, default=1e-10)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over (lambda_h, tau_h)")
     _add_machine_model(p_sweep)
@@ -56,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tau-c", type=float, required=True, dest="tau_c")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", required=True, choices=["csv", "json"])
-    p_sweep.add_argument("--tol", type=float, default=1e-10)
 
     p_mom = sub.add_parser("momentum", help="thermal momentum curve, CSV")
     p_mom.add_argument("--lambda-min", type=float, required=True)
@@ -79,14 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run oracle cross-checks")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--tol", type=float, default=None)
 
     return parser
 
 
 def _cmd_cycle(args) -> int:
     point = CyclePoint(args.lambda_h, args.lambda_c, args.tau_h, args.tau_c)
-    report = sweep.evaluate_point(args.machine, args.model, point, tol=args.tol)
+    report = sweep.evaluate_point(args.machine, args.model, point)
     sys.stdout.write(report.to_json() + "\n")
     return EXIT_OK
 
@@ -102,7 +99,7 @@ def _cmd_sweep(args) -> int:
         lambda_scale=args.lambda_scale,
         tau_scale=args.tau_scale,
     )
-    grid = sweep.run_sweep(spec, tol=args.tol)
+    grid = sweep.run_sweep(spec)
     print("sweep 100%", file=sys.stderr)
     if args.format == "csv":
         sweep.write_csv(grid, args.out)
@@ -151,7 +148,7 @@ def main(argv=None) -> int:
         if args.command == "optimum":
             return _cmd_optimum(args)
         if args.command == "selftest":
-            ok = selftest.run_selftest(seed=args.seed, tol=args.tol)
+            ok = selftest.run_selftest(seed=args.seed)
             return EXIT_OK if ok else EXIT_SELFTEST
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,10 +27,12 @@ a kept level n has the residual r_n = (lambda/4)|v_n[M]|, so a true level
 lies within r_n of it (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
 Since V = lambda sin^2(alpha/2) >= 0, min-max puts the levels above the
 cutoff at or above the free-rotor levels m^2/2, |m| > M, whose Boltzmann
-tail has a closed form.  M starts at the first cutoff of the ladder 32 * 2^k
-where that tail can be below tol, and a tau whose bounds fail is solved
-again at twice the cutoff.  scipy.linalg.lapack is imported by the first
-solve, so a process that runs no pendulum never loads it.
+tail has a closed form.  Both bounds are held to the stroke's own round-off,
+so a stroke's averages are a function of (lambda, tau) alone.  M starts at
+the first cutoff of the ladder 32 * 2^k where that tail can be below it, and
+a tau whose bounds fail is solved again at twice the cutoff.
+scipy.linalg.lapack is imported by the first solve, so a process that runs
+no pendulum never loads it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cycle import heats
-from .units import (
-    ConvergenceError,
-    DomainError,
-    validate_control,
-    validate_temperature,
-    validate_tolerance,
-)
+from .units import ConvergenceError, DomainError, validate_control, validate_temperature
 
 _INITIAL_CUTOFF = 32
 _MAX_CUTOFF = 1 << 12  # the eigenvectors of both parity blocks take about 270 MB here
@@ -156,31 +152,28 @@ def _column_at(lam: float, taus: np.ndarray, cutoff: int) -> tuple[np.ndarray, n
     return np.array((e_avg, s_avg)), np.array((res + tail_energy, res + tail_mass))
 
 
-def pendulum_column_averages(
-    lam: float, taus, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pendulum_column_averages(lam: float, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(<H>[], <S>[], certified cutoff[]) at every tau, usually from one solve.
 
     A tau is certified at cutoff M when the error bounds of both its averages
-    (_column_at) are below tol, or below their round-off
-    8 eps (M^2/2 + 3 lambda/2), which bounds the spectral norm of H (a tighter
-    tol could never be met).  Each tau walks the ladder M = 32 * 2^k from the
-    first cutoff where its free-rotor energy tail, taken above a ground level
-    of 0, is below that bound; a tau whose bounds fail is evaluated again at
-    twice the cutoff, and one that passed is not evaluated at larger M.  So a
-    tau's cutoff and averages do not depend on the other taus of the call.
-    Raises ConvergenceError, naming the first tau left uncertified, when
-    M = 2^12 does not certify it (before any solve, if its tail needs more).
+    (_column_at) are below their round-off 8 eps (M^2/2 + 3 lambda/2), which
+    bounds the spectral norm of H.  Each tau walks the ladder M = 32 * 2^k
+    from the first cutoff where its free-rotor energy tail, taken above a
+    ground level of 0, is below that bound; a tau whose bounds fail is
+    evaluated again at twice the cutoff, and one that passed is not evaluated
+    at larger M.  So a tau's cutoff and averages do not depend on the other
+    taus of the call.  Raises ConvergenceError, naming the first tau left
+    uncertified, when M = 2^12 does not certify it (before any solve, if its
+    tail needs more).
     """
     lam = validate_control(lam, require_nonnegative=True)
     taus = np.array([validate_temperature(tau) for tau in np.ravel(taus).tolist()])
-    validate_tolerance(tol)
     averages = np.empty((2, len(taus)))
     certified = np.zeros(len(taus), dtype=int)
     pending = np.ones(len(taus), dtype=bool)
     cutoff = _INITIAL_CUTOFF
     while pending.any() and cutoff <= _MAX_CUTOFF:
-        bound = max(tol, 8.0 * _EPS * (0.5 * cutoff * cutoff + 1.5 * lam))
+        bound = 8.0 * _EPS * (0.5 * cutoff * cutoff + 1.5 * lam)
         # The true ground level is >= 0, so a tau failing this cannot pass at M.
         due = np.flatnonzero(pending)
         due = due[_free_rotor_tail(cutoff, taus[due], 0.0)[1] < bound]
@@ -199,24 +192,23 @@ def pendulum_column_averages(
 
 
 @lru_cache(maxsize=65536)
-def pendulum_stroke_averages(lam: float, tau: float, tol: float) -> tuple[float, float, int]:
+def pendulum_stroke_averages(lam: float, tau: float) -> tuple[float, float, int]:
     """(<H>, <S>, certified cutoff) at one tau: pendulum_column_averages on [tau]."""
-    e_avg, s_avg, cutoff = pendulum_column_averages(lam, [tau], tol)
+    e_avg, s_avg, cutoff = pendulum_column_averages(lam, [tau])
     return float(e_avg[0]), float(s_avg[0]), int(cutoff[0])
 
 
-def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float, tol: float = 1e-10):
+def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float):
     """(Q_c, Q_h, W) of the quantum electric machine on the lam_h x tau_h grid.
 
-    The kernel contract of cycle.py.  The quartet's cross entries use
-    <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j, so a column's strokes
-    take tol / (1 + |lambda_h - lambda_c|) and its entries meet tol.  Each
-    lambda_h column is one pendulum_column_averages call over the tau_h axis;
-    the cold stroke is one pendulum_stroke_averages call at the tightest
-    column tolerance.
+    The kernel contract of cycle.py.  Each lambda_h column is one
+    pendulum_column_averages call over the tau_h axis, and the cold stroke
+    one pendulum_stroke_averages call.  The quartet's cross entries use
+    <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j, so an entry <H_i>_j is
+    within (1 + |lambda_i - lambda_j|) times stroke j's round-off bound.
     """
-    dlam = lam_h - lam_c
-    e_c, s_c, _ = pendulum_stroke_averages(lam_c, tau_c, tol / (1.0 + float(np.abs(dlam).max())))
-    e_h, s_h = np.array([pendulum_column_averages(lam, tau_h, tol / (1.0 + abs(lam - lam_c)))[:2]
+    e_c, s_c, _ = pendulum_stroke_averages(lam_c, tau_c)
+    e_h, s_h = np.array([pendulum_column_averages(lam, tau_h)[:2]
                          for lam in lam_h.tolist()]).transpose(1, 2, 0)
+    dlam = lam_h - lam_c
     return heats(e_h, e_c + dlam * s_c, e_h - dlam * s_h, e_c)

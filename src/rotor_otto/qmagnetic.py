@@ -70,11 +70,11 @@ def momentum_moments(lam, tau):
     window |k| <= ceil(sqrt(2 tau N)) + 1 puts both edges at least
     N = _WINDOW_NATS nats below the peak, since |f| <= 1/2.
 
-    Every tau's window is checked before any sum.  The rows of the taus that
-    share a window are summed together, in blocks of at most _BLOCK_TERMS
-    terms.  Each (tau, lambda) pair is reduced over its own window along the
-    last axis, so its sums are the same bits whatever other taus share the
-    call.
+    Every tau's window is checked before any sum.  The taus that share a
+    window share the numerators of their log-weights; each tau's row is
+    summed in blocks of a run of lambdas, at most _BLOCK_TERMS terms each.
+    Each (tau, lambda) pair is reduced over its own window along the last
+    axis, so its sums are the same bits whatever other taus share the call.
     """
     tau = np.asarray(tau)
     taus = [validate_temperature(t) for t in tau.ravel().tolist()]
@@ -93,28 +93,21 @@ def momentum_moments(lam, tau):
     mu, nu, log_z = (np.empty((len(taus), n)) for _ in range(3))
     for half, rows in rows_of_half.items():
         k = np.arange(-half, half + 1, dtype=float)
-        # A block is several whole rows, or a run of lambdas of one row.
-        row_step = max(1, _BLOCK_TERMS // (k.size * max(n, 1)))
         lam_step = max(1, _BLOCK_TERMS // k.size)
         for i in range(0, n, lam_step):
             ls = slice(i, i + lam_step)
             # The numerators of the log-weights, shared by every row.
             exponent = -k * (k - 2.0 * f[ls, None])
             ground = -center[ls] * (center[ls] - 2.0 * flat[ls])
-            for r in range(0, len(rows), row_step):
-                block = rows[r:r + row_step]
-                if block[-1] - block[0] == len(block) - 1:  # index adjacent rows by a slice
-                    block = slice(block[0], block[-1] + 1)
-                two_tau = 2.0 * tau_of_row[block][:, None]
-                w = np.exp(exponent / two_tau[:, :, None])
-                norm, wk = w.sum(axis=2), w * k
-                mu[block, ls] = mu_b = wk.sum(axis=2) / norm
-                nu[block, ls] = nu_b = (wk * k).sum(axis=2) / norm
-                log_z[block, ls] = ground / two_tau + np.log(norm)
-                ok = (np.abs(mu_b - f[ls]) <= 0.5 + 1e-12) & (nu_b - mu_b * mu_b >= -1e-9)
-                if not ok.all():
-                    bad = rows[r + int(np.argwhere(~ok)[0, 0])]
-                    raise DomainError(f"momentum moments out of range at tau={taus[bad]}: "
+            for j in rows:
+                two_tau = 2.0 * tau_of_row[j]
+                w = np.exp(exponent / two_tau)
+                norm, wk = w.sum(axis=1), w * k
+                mu[j, ls] = mu_j = wk.sum(axis=1) / norm
+                nu[j, ls] = nu_j = (wk * k).sum(axis=1) / norm
+                log_z[j, ls] = ground / two_tau + np.log(norm)
+                if not ((np.abs(mu_j - f[ls]) <= 0.5 + 1e-12) & (nu_j - mu_j * mu_j >= -1e-9)).all():
+                    raise DomainError(f"momentum moments out of range at tau={taus[j]}: "
                                       "|epsilon| > 1/2 or negative variance")
     shape = tau.shape + lam.shape
     terms = np.array([2 * half + 1 for half in halves], dtype=int).reshape(tau.shape)[()]

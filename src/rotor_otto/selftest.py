@@ -26,13 +26,7 @@ import numpy as np
 
 from . import classical, qelectric, qmagnetic
 from .cycle import heats
-from .units import (
-    ConvergenceError,
-    DomainError,
-    validate_control,
-    validate_temperature,
-    validate_tolerance,
-)
+from .units import ConvergenceError, DomainError, validate_control, validate_temperature
 
 # Node counts of the trapezoid rule stop doubling past this (8 MB per array).
 _MAX_NODES = 1 << 20
@@ -174,7 +168,7 @@ def check_hellmann_feynman(rng: np.random.Generator) -> float:
     step = 1e-4
     for _ in range(4):
         lam, tau = rng.uniform(0.5, 6.0), rng.uniform(0.2, 3.0)
-        _, s_avg, cutoff = qelectric.pendulum_stroke_averages(lam, tau, 1e-11)
+        _, s_avg, cutoff = qelectric.pendulum_stroke_averages(lam, tau)
         lz_plus = log_partition_pendulum(lam + step, tau, cutoff)
         lz_minus = log_partition_pendulum(lam - step, tau, cutoff)
         fd = -tau * (lz_plus - lz_minus) / (2.0 * step)
@@ -190,19 +184,17 @@ CHECKS = [
 ]
 
 
-def run_selftest(seed: int = 0, tol: float | None = None, out=None) -> bool:
-    """Run all checks, print a pass/fail table, return overall success."""
-    # A bad seed or tol is a usage error, not a failed check.
+def run_selftest(seed: int = 0, out=None) -> bool:
+    """Run all checks, each against its own fixed threshold; print a pass/fail
+    table, return overall success."""
+    # A bad seed is a usage error, not a failed check.
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    if tol is not None:
-        validate_tolerance(tol)
     if out is None:
         out = sys.stdout
     all_ok = True
-    for name, check, default_tol in CHECKS:
+    for name, check, threshold in CHECKS:
         rng = np.random.default_rng(seed)
-        threshold = default_tol if tol is None else tol
         max_err = check(rng)
         ok = max_err < threshold
         all_ok &= ok

@@ -31,14 +31,7 @@ from .cycle import (
     classify_modes,
     json_float,
 )
-from .units import (
-    SCALE_LINEAR,
-    CyclePoint,
-    DomainError,
-    grid_axis,
-    validate_control,
-    validate_tolerance,
-)
+from .units import SCALE_LINEAR, CyclePoint, DomainError, grid_axis, validate_control
 
 
 @dataclass(frozen=True)
@@ -141,34 +134,34 @@ class SweepGrid:
         return assemble_cycle(spec.machine, spec.model, point, *entries)
 
 
-def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c, tol):
+def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c):
     """(q_c, q_h, w, mode, efficiency, cop), each (n_tau, n_lam): the kernel contract of cycle.py.
 
     lam_h and tau_h are the grid's axes; the cold stroke is solved once per call.
+    W is +0.0 where a kernel gives -0.0, as -(Q_c + Q_h) does when the heats
+    sum to +0.0.
     """
     check_tags(machine, model)
     if machine == MACHINE_ELECTRIC and model == MODEL_CLASSICAL:
         q_c, q_h, w = classical.classical_cycle_electric(lam_h, tau_h, lam_c, tau_c)
     elif machine == MACHINE_ELECTRIC:
-        q_c, q_h, w = qelectric.cycle_heats_electric(lam_h, tau_h, lam_c, tau_c, tol=tol)
+        q_c, q_h, w = qelectric.cycle_heats_electric(lam_h, tau_h, lam_c, tau_c)
     elif model == MODEL_CLASSICAL:
         q_c, q_h, w = classical.classical_cycle_magnetic(lam_h, tau_h, lam_c, tau_c)
     else:
         q_c, q_h, w = qmagnetic.cycle_heats_magnetic(lam_h, tau_h, lam_c, tau_c)
+    w += 0.0  # in place, no grid-sized temporary: -0.0 becomes +0.0, any other value (NaN, +-inf) stays
     return (q_c, q_h, w) + classify_modes(q_c, q_h, w, tau_h[:, None], tau_c)
 
 
-def evaluate_point(
-    machine: str, model: str, point: CyclePoint, tol: float = 1e-10
-) -> CycleReport:
+def evaluate_point(machine: str, model: str, point: CyclePoint) -> CycleReport:
     """Single-cycle evaluation: the sweep's kernels on a 1x1 grid."""
-    validate_tolerance(tol)
     entries = _cycle_arrays(machine, model, np.array([point.lambda_h]), np.array([point.tau_h]),
-                            point.lambda_c, point.tau_c, tol)
+                            point.lambda_c, point.tau_c)
     return assemble_cycle(machine, model, point, *(a[0, 0] for a in entries))
 
 
-def run_sweep(spec: SweepSpec, tol: float = 1e-10) -> SweepGrid:
+def run_sweep(spec: SweepSpec) -> SweepGrid:
     """Evaluate every cell of the sweep and extract regime boundaries.
 
     The spec's cells are valid cycle points, so a DomainError or
@@ -176,9 +169,8 @@ def run_sweep(spec: SweepSpec, tol: float = 1e-10) -> SweepGrid:
     names the stroke that failed (the pendulum its lambda and tau, the
     magnetic momentum window its tau, a row in which every cell fails).
     """
-    validate_tolerance(tol)
     grid = SweepGrid(spec, *_cycle_arrays(spec.machine, spec.model, spec.lambda_axis(), spec.tau_axis(),
-                                          spec.lambda_c, spec.tau_c, tol))
+                                          spec.lambda_c, spec.tau_c))
     grid.boundary_engine, grid.boundary_fridge = extract_boundaries(grid)
     return grid
 
@@ -217,7 +209,10 @@ def _marching_squares(
     An edge whose ends differ in sign (f > 0 against f <= 0) holds one
     crossing: the end where f == 0 if there is one, else the point
     interpolated linearly from its lower node.  Vertices are numbered by
-    node or by edge, and segments are joined by these numbers.
+    node or by edge, and segments are joined by these numbers; a segment
+    whose two ends are one vertex (the zero corner of a cell whose other
+    corners are positive) is dropped, so an isolated zero node makes no
+    polyline.
     """
     nx, ny = f.shape
     pos = f > 0.0
@@ -239,7 +234,9 @@ def _marching_squares(
     # k + nx ny or k + 2 nx ny for the edge along x or y from node k.
     ids = np.where(f[node] == 0.0, 0, 1 + along_y) * nx * ny + node[0] * ny + node[1]
     vertices = dict(zip(ids.tolist(), zip(x.tolist(), y.tolist())))
-    return [[vertices[v] for v in line] for line in _chain_segments(ids.reshape(-1, 2).tolist())]
+    segments = ids.reshape(-1, 2)
+    segments = segments[segments[:, 0] != segments[:, 1]]
+    return [[vertices[v] for v in line] for line in _chain_segments(segments.tolist())]
 
 
 def _chain_segments(segments: list[list[int]]) -> list[list[int]]:

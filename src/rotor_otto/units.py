@@ -35,13 +35,6 @@ def validate_temperature(tau: float) -> float:
     return tau
 
 
-def validate_tolerance(tol: float) -> float:
-    """Check a convergence tolerance (must be finite and > 0)."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be finite and > 0, got {tol}")
-    return tol
-
-
 def validate_count(count, minimum: int, what: str) -> int:
     """Check the point count of a grid axis: an integer (numpy's too) >= minimum."""
     try:

@@ -338,7 +338,7 @@ def test_criterion_7_quantum_electric_correctness():
     step = 1e-4
     max_hf_err = 0.0
     for lam, tau in [(1.0, 1.0), (4.0, 0.5), (10.0, 2.0)]:
-        _, s_avg, cutoff = pendulum_stroke_averages(lam, tau, 1e-11)
+        _, s_avg, cutoff = pendulum_stroke_averages(lam, tau)
         fd = -tau * (
             log_partition_pendulum(lam + step, tau, cutoff)
             - log_partition_pendulum(lam - step, tau, cutoff)
@@ -350,7 +350,7 @@ def test_criterion_7_quantum_electric_correctness():
     gap = spec.eigenvalues[1] - spec.eigenvalues[0]
     ok &= abs(gap - np.sqrt(200.0)) < 0.01 * np.sqrt(200.0)
     # (d) correspondence limit
-    e_avg = pendulum_stroke_averages(1.0, 20.0, 1e-10)[0]
+    e_avg = pendulum_stroke_averages(1.0, 20.0)[0]
     classical_value = classical_electric_mean_energy_quadrature(1.0, 1.0, 20.0)
     ok &= abs(e_avg - classical_value) < 0.01 * abs(classical_value)
     elapsed = time.perf_counter() - start

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import rotor_otto
-from rotor_otto import cli, qelectric, sweep
+from rotor_otto import cli, qelectric, selftest, sweep
 from rotor_otto.sweep import SweepSpec, run_sweep, write_csv
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -85,6 +85,17 @@ class TestCycleCommand:
         report = json.loads(out)
         assert (report["q_c"], report["q_h"], report["w"], report["mode"]) == (0.0, 0.0, 0.0, "Heater")
 
+    @pytest.mark.parametrize("machine", ["electric", "magnetic"])
+    @pytest.mark.parametrize("model", ["classical", "quantum"])
+    def test_equal_lambdas_print_unsigned_zero_work(self, machine, model, capsys):
+        # At lambda_h = lambda_c no work is done; W is +0.0, not the -0.0 of
+        # -(Q_c + Q_h) (electric) or of d (mu_h - mu_c + D) at d = 0 (quantum
+        # magnetic, where mu_h - mu_c < 0 at this point).
+        code, out, _ = run_cli(["cycle", "--machine", machine, "--model", model, "--lambda-h", "0.7",
+                                "--lambda-c", "0.7", "--tau-h", "1", "--tau-c", "0.1"], capsys)
+        assert code == 0
+        assert '"w": 0.0,' in out
+
     def test_invalid_point_exits_2(self, capsys):
         code, _, err = run_cli(
             [
@@ -108,8 +119,6 @@ def sweep_args(out_path, fmt="csv", model="classical"):
     ]
 
 
-BAD_TOLS = ["nan", "inf", "0", "-1"]
-
 QUANTUM_ELECTRIC_CYCLE = [
     "cycle", "--machine", "electric", "--model", "quantum",
     "--lambda-h", "3", "--lambda-c", "1", "--tau-h", "4", "--tau-c", "1",
@@ -121,34 +130,25 @@ def no_eigensolve(monkeypatch):
     """Fail the test at once if any pendulum spectrum is computed."""
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("eigensolve reached with an invalid tol")
+        raise AssertionError("eigensolve reached")
 
     monkeypatch.setattr(qelectric, "eigensolve_sym_tridiagonal", refuse)
 
 
-class TestInvalidTolerance:
-    @pytest.mark.parametrize("tol", BAD_TOLS)
-    def test_cycle_exits_2(self, tol, no_eigensolve, capsys):
-        code, out, err = run_cli(QUANTUM_ELECTRIC_CYCLE + ["--tol", tol], capsys)
-        assert code == 2
-        assert out == ""
-        assert f"error: tol must be finite and > 0, got {float(tol)}" in err
-
-    @pytest.mark.parametrize("tol", BAD_TOLS)
-    def test_sweep_exits_2(self, tol, no_eigensolve, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        code, _, err = run_cli(sweep_args(out, model="quantum") + ["--tol", tol], capsys)
-        assert code == 2
-        assert f"error: tol must be finite and > 0, got {float(tol)}" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("tol", BAD_TOLS)
-    def test_selftest_exits_2(self, tol, no_eigensolve, capsys):
-        # Exit 1 would claim a failed oracle check; no check runs at all.
-        code, out, err = run_cli(["selftest", "--tol", tol], capsys)
-        assert code == 2
-        assert out == ""
-        assert f"error: tol must be finite and > 0, got {float(tol)}" in err
+class TestNoToleranceOption:
+    @pytest.mark.parametrize("command", ["cycle", "sweep", "selftest"])
+    def test_tol_is_a_usage_error(self, command, no_eigensolve, tmp_path, capsys):
+        # Every pendulum stroke is certified to its own round-off, and each
+        # selftest check has its own threshold: no command takes a tolerance.
+        out_path = tmp_path / "x.csv"
+        argv = {"cycle": QUANTUM_ELECTRIC_CYCLE, "sweep": sweep_args(out_path, model="quantum"),
+                "selftest": ["selftest"]}[command]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--tol", "1e-10"])
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert "unrecognized arguments: --tol 1e-10" in err
+        assert not out_path.exists()
 
 
 class TestPendulumCutoffCap:
@@ -302,10 +302,13 @@ class TestSelftestCommand:
         assert code == 0
         assert out.count("PASS") == 4
 
-    def test_unattainable_tolerance_fails(self, capsys):
-        code, out, _ = run_cli(["selftest", "--tol", "1e-30"], capsys)
+    def test_unattainable_tolerance_fails(self, monkeypatch, capsys):
+        # A check whose threshold no error can meet fails the run, and only that check.
+        monkeypatch.setattr(selftest, "CHECKS", [*selftest.CHECKS[:1], ("unattainable", lambda rng: 0.0, 0.0)])
+        code, out, _ = run_cli(["selftest"], capsys)
         assert code == 1
-        assert "FAIL" in out
+        assert out.count("PASS") == 1
+        assert out.splitlines()[-1].startswith("unattainable") and "FAIL" in out.splitlines()[-1]
 
     def test_negative_seed_exits_2(self, no_eigensolve, capsys):
         # numpy's default_rng rejects it; that must not read as a failed check.

@@ -96,10 +96,9 @@ def test_dense_quartet_matches_program(tau_c, i, j, quantity):
     point = CyclePoint(
         np.linspace(1.0, 20.0, 40)[i], 1.0, np.linspace(1.0, 10.0, 40)[j], tau_c
     )
-    # The stroke averages at the tolerance the kernel asks of them, and the heats.
-    stroke_tol = 1e-10 / (1.0 + abs(point.lambda_h - point.lambda_c))
-    e_h = pendulum_stroke_averages(point.lambda_h, point.tau_h, stroke_tol)[0]
-    e_c = pendulum_stroke_averages(point.lambda_c, point.tau_c, stroke_tol)[0]
+    # The stroke averages the kernel uses, and the heats.
+    e_h = pendulum_stroke_averages(point.lambda_h, point.tau_h)[0]
+    e_c = pendulum_stroke_averages(point.lambda_c, point.tau_c)[0]
     r = evaluate_point("electric", "quantum", point)
     dense = dense_heats_electric(point.lambda_h, point.lambda_c, point.tau_h, point.tau_c)
     names = ("<H>_h", "<H>_c", "q_c", "q_h", "w")

@@ -99,20 +99,18 @@ class TestStrokeAverages:
     def test_potential_average_bounded(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
-            _, s_avg, _ = pendulum_stroke_averages(
-                rng.uniform(0.0, 10.0), rng.uniform(0.05, 5.0), 1e-10
-            )
+            _, s_avg, _ = pendulum_stroke_averages(rng.uniform(0.0, 10.0), rng.uniform(0.05, 5.0))
             assert 0.0 <= s_avg <= 1.0
 
     def test_ground_state_clamp(self):
         lam = 2.0
-        e_avg, _, _ = pendulum_stroke_averages(lam, 1e-8, 1e-10)
+        e_avg, _, _ = pendulum_stroke_averages(lam, 1e-8)
         ground = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, 64)).eigenvalues[0]
         assert e_avg == pytest.approx(ground, abs=1e-10)
 
     def test_hellmann_feynman_cross_oracle(self):
         lam, tau, step = 1.5, 0.8, 1e-4
-        _, s_avg, cutoff = pendulum_stroke_averages(lam, tau, 1e-11)
+        _, s_avg, cutoff = pendulum_stroke_averages(lam, tau)
         fd = -tau * (
             log_partition_pendulum(lam + step, tau, cutoff)
             - log_partition_pendulum(lam - step, tau, cutoff)
@@ -120,16 +118,16 @@ class TestStrokeAverages:
         assert s_avg == pytest.approx(fd, abs=1e-6)
 
     def test_round_off_stops_the_doubling(self):
-        # At lambda_h ~ 862 the quartet's per-stroke tol (1e-10 / 862) lies
-        # below the round-off of <H>, 5.9e-12 at M = 64, where the error bounds
-        # are 3e-24; no tolerance, however far below round-off, may push the
-        # cutoff past 64.
+        # At lambda_h ~ 862 the round-off of <H> is 5.9e-12 at M = 64, where
+        # the error bounds are 3e-24: the stroke certifies there, and the
+        # averages at M = 128 agree with it to that round-off.
         p = CyclePoint(861.8547639571464, 0.011012854772924286, 12.348369624337156, 1.8480060611326552)
-        stroke_tol = 1e-10 / (1.0 + abs(p.lambda_h - p.lambda_c))
-        e_h, _, cutoff = pendulum_stroke_averages(p.lambda_h, p.tau_h, stroke_tol)
+        e_h, s_h, cutoff = pendulum_stroke_averages(p.lambda_h, p.tau_h)
         assert cutoff == 64
-        assert pendulum_stroke_averages(p.lambda_h, p.tau_h, 1e-300)[2] == 64
-        e_c = pendulum_stroke_averages(p.lambda_c, p.tau_c, stroke_tol)[0]
+        bound = 8.0 * np.finfo(float).eps * (0.5 * 64**2 + 1.5 * p.lambda_h)
+        (e_128,), (s_128,) = qelectric._column_at(p.lambda_h, np.array([p.tau_h]), 128)[0]
+        assert abs(e_h - e_128) <= bound and abs(s_h - s_128) <= bound
+        e_c = pendulum_stroke_averages(p.lambda_c, p.tau_c)[0]
         r = evaluate_point("electric", "quantum", p)
         dense = dense_heats_electric(p.lambda_h, p.lambda_c, p.tau_h, p.tau_c)
         names = ("<H>_h", "<H>_c", "q_c", "q_h", "w")
@@ -149,13 +147,13 @@ def _parity_block_levels(lam, cutoff):
     return np.concatenate(energies), 0.5 - 0.5 * np.concatenate(s_diag), np.concatenate(last)
 
 
-def _per_tau_reference(lam, tau, tol):
+def _per_tau_reference(lam, tau):
     """(<H>, <S>, cutoff) for this tau alone, certified term by term.
 
     Walks the cutoffs 32, 64, ... and stops at the first where the weighted
     residual sum_n w_n (lambda/4)|v_n[M]| plus the free-rotor tail, summed
-    over |m| > M term by term instead of the closed form, is below
-    max(tol, round-off) for both averages.
+    over |m| > M term by term instead of the closed form, is below the
+    round-off 8 eps (M^2/2 + 3 lambda/2) for both averages.
     """
     cutoff = 32
     while cutoff <= 1 << 15:
@@ -168,7 +166,7 @@ def _per_tau_reference(lam, tau, tol):
         residual = w @ (0.25 * lam * last)
         m = np.arange(cutoff + 1, cutoff + 2 + int(math.sqrt(2.0 * (abs(energies[0]) + 800.0 * t))), dtype=float)
         terms = 2.0 * np.exp(-(0.5 * m * m - energies[0]) / t)
-        bound = max(tol, 8.0 * np.finfo(float).eps * (0.5 * cutoff * cutoff + 1.5 * lam))
+        bound = 8.0 * np.finfo(float).eps * (0.5 * cutoff * cutoff + 1.5 * lam)
         if residual + terms.sum() < bound and residual + terms @ (0.5 * m * m) < bound:
             return float(w @ energies), float(w @ s_diag), cutoff
         cutoff *= 2
@@ -198,13 +196,12 @@ _COLUMN_TAUS = [1e-9, 5e-7, 9.99e-7, 1e-6, 1.001e-6, 1e-4, 0.05, 0.7, 5.0, 40.0,
 class TestColumnAverages:
     @pytest.mark.parametrize("lam", [0.0, 2.0, 37.5, 861.8547639571464])
     def test_column_equals_per_tau_evaluation(self, lam):
-        tol = 1e-10 / (1.0 + lam)
-        e_avg, s_avg, cutoff = pendulum_column_averages(lam, _COLUMN_TAUS, tol)
+        e_avg, s_avg, cutoff = pendulum_column_averages(lam, _COLUMN_TAUS)
         assert len(set(cutoff.tolist())) > 1
         for k, tau in enumerate(_COLUMN_TAUS):
-            single = pendulum_stroke_averages(lam, tau, tol)
+            single = pendulum_stroke_averages(lam, tau)
             assert (e_avg[k], s_avg[k], cutoff[k]) == single
-            e_ref, s_ref, cutoff_ref = _per_tau_reference(lam, tau, tol)
+            e_ref, s_ref, cutoff_ref = _per_tau_reference(lam, tau)
             assert cutoff[k] == cutoff_ref
             bound = 8.0 * np.finfo(float).eps * (0.5 * cutoff_ref**2 + 1.5 * lam)
             assert abs(e_avg[k] - e_ref) <= bound and abs(s_avg[k] - s_ref) <= bound
@@ -234,7 +231,7 @@ class TestColumnAverages:
 
     @pytest.mark.parametrize("lam", [0.0, 2.0, 861.8547639571464])
     def test_continuous_across_ground_state_shortcut(self, lam):
-        e_avg, s_avg, _ = pendulum_column_averages(lam, _COLUMN_TAUS, 1e-11)
+        e_avg, s_avg, _ = pendulum_column_averages(lam, _COLUMN_TAUS)
         below, at, above = _COLUMN_TAUS.index(9.99e-7), _COLUMN_TAUS.index(1e-6), _COLUMN_TAUS.index(1.001e-6)
         for avg in (e_avg, s_avg):
             assert abs(avg[at] - avg[below]) <= 1e-12
@@ -246,7 +243,7 @@ class TestColumnAverages:
         # At lambda = 1, tau = 5000 the weighted residual is 1.2e-14 at
         # M = 512, yet the levels above that cutoff still hold 5.7e-8 of <H>;
         # the free-rotor tail bound (1.0e-5 there) must push the cutoff on.
-        e_avg, s_avg, _ = pendulum_column_averages(1.0, [5000.0], 1e-10)
+        e_avg, s_avg, _ = pendulum_column_averages(1.0, [5000.0])
         (e_ref,), (s_ref,) = qelectric._column_at(1.0, np.array([5000.0]), 2048)[0]
         assert abs(e_avg[0] - e_ref) < 1e-10
         assert abs(s_avg[0] - s_ref) < 1e-10
@@ -255,15 +252,13 @@ class TestColumnAverages:
         # Cap the cutoff ladder below the cutoff the warm taus need.
         monkeypatch.setattr(qelectric, "_MAX_CUTOFF", 32)
         with pytest.raises(ConvergenceError, match=r"lambda=2\.0, tau=40\.0 up to M=32"):
-            pendulum_column_averages(2.0, [0.05, 40.0, 300.0], 1e-12)
+            pendulum_column_averages(2.0, [0.05, 40.0, 300.0])
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
-            pendulum_column_averages(-1.0, [1.0], 1e-10)
+            pendulum_column_averages(-1.0, [1.0])
         with pytest.raises(DomainError):
-            pendulum_column_averages(1.0, [1.0, 0.0], 1e-10)
-        with pytest.raises(DomainError):
-            pendulum_column_averages(1.0, [1.0], 0.0)
+            pendulum_column_averages(1.0, [1.0, 0.0])
 
     def test_sweep_eigensolves_do_not_grow_with_n_tau(self, monkeypatch):
         # One spectrum (two parity-block solves) per lambda_h column and
@@ -283,18 +278,17 @@ class TestColumnAverages:
         assert 0 < len(calls) <= 8 * 5
 
     def test_cold_stroke_solved_once_per_sweep(self, monkeypatch):
-        # One call, at the tolerance of the column farthest from lambda_c,
-        # which is the tightest any column needs.
+        # One call for the whole grid, at the cold stroke's (lambda, tau).
         calls = []
 
-        def counting(lam, tau, tol):
-            calls.append((lam, tau, tol))
-            return pendulum_stroke_averages(lam, tau, tol)
+        def counting(lam, tau):
+            calls.append((lam, tau))
+            return pendulum_stroke_averages(lam, tau)
 
         monkeypatch.setattr(qelectric, "pendulum_stroke_averages", counting)
         spec = SweepSpec((1.0, 20.0, 5), (1.0, 10.0, 3), 1.0, 0.5, "electric", "quantum")
         run_sweep(spec)
-        assert calls == [(1.0, 0.5, 1e-10 / (1.0 + 19.0))]
+        assert calls == [(1.0, 0.5)]
 
 
 class TestThermalQuartet:
@@ -306,7 +300,7 @@ class TestThermalQuartet:
         assert r.q_h == pytest.approx(0.0, abs=1e-12)
 
     def test_correspondence_limit(self):
-        e_avg = pendulum_stroke_averages(1.0, 10.0, 1e-10)[0]
+        e_avg = pendulum_stroke_averages(1.0, 10.0)[0]
         classical = classical_electric_mean_energy_quadrature(1.0, 1.0, 10.0)
         assert e_avg == pytest.approx(classical, rel=0.02)
 

@@ -1,12 +1,21 @@
-"""The python blocks of README.md run as written and print what their comments say."""
+"""The python blocks of README.md run as written and print what their comments say;
+its rotor-otto commands exit 0."""
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
+from rotor_otto import cli
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+# (info string, text) of each fenced block, in order.
+FENCED = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+BLOCKS = [text for info, text in FENCED if info == "python"]
+# The argv of each `rotor-otto ...` command in the untagged (shell) blocks, continuation lines joined.
+COMMANDS = [shlex.split(line)[1:] for info, text in FENCED if info == ""
+            for line in text.replace("\\\n", " ").splitlines() if line.startswith("rotor-otto ")]
 
 
 def test_readme_has_python_blocks():
@@ -43,3 +52,14 @@ def test_public_api_is_what_the_readme_documents():
     imports = re.findall(r"^from rotor_otto import (?:\(([^)]*)\)|([\w ,]+)$)", "".join(BLOCKS), flags=re.M)
     imported = {name.strip() for names in imports for name in ",".join(names).split(",")} - {""}
     assert imported and imported <= set(rotor_otto.__all__)
+
+
+def test_readme_shows_every_command():
+    assert sorted({argv[0] for argv in COMMANDS}) == ["cycle", "momentum", "optimum", "selftest", "sweep"]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_readme_command_exits_0(argv, tmp_path, monkeypatch, capsys):
+    # Files the command writes land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0

@@ -207,6 +207,9 @@ class TestRunSweep:
         # Three tau_h rows in each of two momentum window widths: the grid's
         # rows are summed together, each cell alone.
         ("magnetic", "quantum", 0.485, 0.001, (0.0, 0.5, 6), (0.5, 1.5, 12)),
+        # Heater and Engine cells; a lambda_h column far from lambda_c must
+        # not change how the cold stroke is certified.
+        ("electric", "quantum", 0.15937168899158027, 16.276649601237345, (0.2, 100.0, 2), (16.3, 40.0, 2)),
     ],
 )
 def test_grid_cells_equal_point_evaluations(machine, model, lambda_c, tau_c, lam, tau):
@@ -215,8 +218,9 @@ def test_grid_cells_equal_point_evaluations(machine, model, lambda_c, tau_c, lam
     modes = set()
     for j, tau_h in enumerate(spec.tau_axis()):
         for i, lam_h in enumerate(spec.lambda_axis()):
-            point = CyclePoint(lam_h, lambda_c, tau_h, tau_c)
-            assert grid.cell(i, j) == evaluate_point(machine, model, point)
+            report = evaluate_point(machine, model, CyclePoint(lam_h, lambda_c, tau_h, tau_c))
+            assert grid.cell(i, j) == report
+            assert grid.cell(i, j).to_json() == report.to_json()  # bit for bit, the sign of a zero too
             modes.add(grid.cell(i, j).mode)
     assert grid.cells == [grid.cell(i, j) for j in range(tau[2]) for i in range(lam[2])]
     if model == "quantum" or machine == "electric":
@@ -331,6 +335,19 @@ class TestBoundaries:
         assert len(lines) == 1
         assert lines[0] == pytest.approx([(2.0, 1.46), (1.0, 2.0278360891445), (0.0, 1.46)], rel=1e-15)
 
+    def test_zero_corner_of_a_positive_cell_is_one_vertex(self):
+        # f = x - y is zero at the diagonal nodes.  Both crossings of cell
+        # (1, 0) are its zero corner (1, 1), a segment of one vertex, which
+        # must not put (1, 1) into the polyline twice.
+        xs = np.array([0.0, 1.0, 2.0])
+        assert _marching_squares(xs, xs, xs[:, None] - xs[None, :]) == [[(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]]
+
+    def test_isolated_zero_node_gives_no_polyline(self):
+        xs = np.array([0.0, 1.0, 2.0])
+        f = np.ones((3, 3))
+        f[1, 1] = 0.0
+        assert _marching_squares(xs, xs, f) == []
+
 
 # Small fields on uneven axes.  Quarter steps make exact zeros, saddles and
 # flat regions common, and keep every interpolated crossing off the nodes.
@@ -368,10 +385,11 @@ def test_marching_squares_topology(field):
     kinds = [[_vertex_kind(xs, ys, f, p) for p in line] for line in lines]
     # Every vertex is a zero node or lies on an edge whose ends differ in sign.
     assert all(kind is not None for line in kinds for kind in line)
-    # Consecutive vertices of a polyline lie on one cell.
+    # Consecutive vertices of a polyline lie on one cell, and differ.
     for line in lines:
         assert len(line) >= 2
         assert all(_cells_of(xs, ys, p) & _cells_of(xs, ys, q) for p, q in zip(line, line[1:]))
+        assert all(p != q for p, q in zip(line, line[1:]))
     # Each crossing appears in exactly one polyline, once; only a closed loop repeats its first vertex.
     crossings = [kind for line, line_kinds in zip(lines, kinds)
                  for kind in line_kinds[:-1 if line[0] == line[-1] else None] if kind[0] == "edge"]
