@@ -4,9 +4,10 @@ Each machine/model kernel takes a sweep's two axes and its cold stroke,
     kernel(lam_h[n_lam], tau_h[n_tau], lam_c, tau_c) -> (Q_c, Q_h, W),
     Q_c = <H_c>_c - <H_c>_h,   Q_h = <H_h>_h - <H_h>_c,   W = -(Q_c + Q_h),
 each of shape (n_tau, n_lam), entry [i_tau, i_lam] at (lam_h[i_lam],
-tau_h[i_tau]); one cycle is the 1x1 case.  Every cell must be a valid cycle
-point (see CyclePoint); no term grows as lambda^2 (the magnetic kernels cancel
-them algebraically).  Here the results are classified, elementwise:
+tau_h[i_tau]); one cycle is the 1x1 case.  A zero W is +0.0, never -0.0.
+Every cell must be a valid cycle point (see CyclePoint); no term grows as
+lambda^2 (the magnetic kernels cancel them algebraically).  Here the results
+are classified, elementwise:
 Engine:       W < -tol          (net work output), efficiency |W|/Q_h
 Refrigerator: Q_c > tol, W >= -tol, COP Q_c/W
 Heater:       anything else (the paper treats strict inequalities only, so
@@ -38,11 +39,20 @@ MODEL_CLASSICAL = "classical"
 MODEL_QUANTUM = "quantum"
 
 MODE_TOL = 1e-12
+# Each mode name by itself, so that a report holds one of the constants above
+# and not a fresh str per report.
+_MODES = {mode: mode for mode in (MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleReport:
-    """Per-cycle heats, work (units of E), operation mode and figures of merit."""
+    """Per-cycle heats, work (units of E), operation mode and figures of merit.
+
+    Slotted, as CyclePoint is: a report holds no per-instance dict, so no
+    attribute can be added to it; dataclasses.replace makes a changed copy.
+    mode is one of MODE_ENGINE, MODE_REFRIGERATOR and MODE_HEATER, the
+    objects themselves.
+    """
 
     q_c: float
     q_h: float
@@ -90,11 +100,14 @@ def check_tags(machine: str, model: str) -> None:
 def heats(hh, hc, ch, cc):
     """(Q_c, Q_h, W) from the mean-energy quartet entries <H_i>_j, elementwise.
 
-    For the electric machines, whose entries grow only as lambda.
+    For the electric machines, whose entries grow only as lambda.  W is +0.0
+    where -(Q_c + Q_h) gives -0.0, as it does when the heats sum to +0.0.
     """
     q_c = cc - ch
     q_h = hh - hc
-    return q_c, q_h, -(q_c + q_h)
+    w = -(q_c + q_h)
+    w += 0.0  # in place, no grid-sized temporary: -0.0 becomes +0.0, any other value (NaN, +-inf) stays
+    return q_c, q_h, w
 
 
 def classify_modes(q_c, q_h, w, tau_h, tau_c):
@@ -128,12 +141,15 @@ def classify_modes(q_c, q_h, w, tau_h, tau_c):
 def assemble_cycle(
     machine: str, model: str, point: CyclePoint, q_c, q_h, w, mode, efficiency, cop
 ) -> CycleReport:
-    """CycleReport of one cycle from its kernel and classify_modes entries; NaN means absent."""
+    """CycleReport of one cycle from its kernel and classify_modes entries; NaN means absent.
+
+    The report's mode is the module constant equal to mode.
+    """
     return CycleReport(
         q_c=float(q_c),
         q_h=float(q_h),
         w=float(w),
-        mode=str(mode),
+        mode=_MODES[str(mode)],
         efficiency=None if math.isnan(efficiency) else float(efficiency),
         cop=None if math.isnan(cop) else float(cop),
         machine=machine,

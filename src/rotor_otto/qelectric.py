@@ -16,8 +16,9 @@ m^2/2 + lambda/2: the even block, m = 0..M, whose first off-diagonal entry is
 off-diagonal -lambda/4.  With q = 2 lambda these are Mathieu's two families
 of period 2 pi in alpha, E = (a_2n(q) + 4 lambda)/8 for the even block and
 (b_2n+2(q) + 4 lambda)/8 for the odd one (DLMF 28.2, 28.4).  Each stroke
-solves both blocks, with about half the eigenvector memory of the full
-(2M + 1) matrix, which only the oracles of selftest build.
+solves both blocks, one after the other, so it holds the eigenvectors of one
+block at a time: about a quarter of those of the full (2M + 1) matrix, which
+only the oracles of selftest build.
 
 The spectrum does not depend on tau: a sweep diagonalizes H(lambda) once per
 lambda_h column and per basis cutoff M, and forms the averages of every tau_h
@@ -46,7 +47,7 @@ from .cycle import heats
 from .units import ConvergenceError, DomainError, validate_control, validate_temperature
 
 _INITIAL_CUTOFF = 32
-_MAX_CUTOFF = 1 << 12  # the eigenvectors of both parity blocks take about 270 MB here
+_MAX_CUTOFF = 1 << 12  # the eigenvectors of one parity block take about 134 MB here
 # Below this tau the Boltzmann weights underflow; the ground-state-only
 # average is exact in that limit.
 _GROUND_STATE_TAU = 1e-6
@@ -123,31 +124,43 @@ def _free_rotor_tail(cutoff: int, taus: np.ndarray, e0: float) -> tuple[np.ndarr
     return mass, energy
 
 
+def _block_levels(lam: float, h: TridiagonalHamiltonian, even: bool) -> np.ndarray:
+    """Rows E_n, <n|S|n> and residual r_n of the levels of one parity block.
+
+    The block's eigenvectors are dropped on return, before the caller
+    solves the other block.
+    """
+    spectrum = eigensolve_sym_tridiagonal(h)
+    v = spectrum.eigenvectors
+    # <n|S|n> = 1/2 - (1/2) sum_k c_k v_k v_{k+1} for S = H'(lambda) (diag 1/2,
+    # offdiag -1/4), with c_0 = sqrt(2) in the even block and c_k = 1 otherwise.
+    overlap = np.einsum("kn,kn->n", v[:-1, :], v[1:, :])
+    if even:
+        overlap += (_SQRT2 - 1.0) * v[0] * v[1]
+    # The block's last row, m = M, couples to m = M + 1 by -lambda/4.
+    return np.stack((spectrum.eigenvalues, 0.5 - 0.5 * overlap, 0.25 * lam * np.abs(v[-1])))
+
+
 def _column_at(lam: float, taus: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """(<H>, <S>) rows at each tau at fixed cutoff, and bounds on their errors.
 
-    One eigensolve per parity block serves every tau; a tau below
-    _GROUND_STATE_TAU takes the ground state, the even block's first level,
-    only.  One einsum averages every tau, reducing each tau's row on its
-    own, so its averages do not depend on which other taus share the call.
-    The error bound of <H> is the weighted residual sum_n w_n r_n plus the
-    free-rotor energy tail, that of <S> (0 <= S <= 1) the same residual plus
-    the tail's weight.
+    One eigensolve per parity block serves every tau; the blocks are solved
+    one after the other, each reduced to its levels (_block_levels) first.
+    A tau below _GROUND_STATE_TAU takes the ground state, the even block's
+    first level, only.  One einsum averages every tau, reducing each tau's
+    row on its own, so its averages do not depend on which other taus share
+    the call.  The error bound of <H> is the weighted residual
+    sum_n w_n r_n plus the free-rotor energy tail, that of <S> (0 <= S <= 1)
+    the same residual plus the tail's weight.
     """
-    even, odd = (eigensolve_sym_tridiagonal(h) for h in _parity_blocks(lam, cutoff))
-    energies = np.concatenate((even.eigenvalues, odd.eigenvalues))
-    # <n|S|n> = 1/2 - (1/2) sum_k c_k v_k v_{k+1} for S = H'(lambda) (diag 1/2,
-    # offdiag -1/4), with c_0 = sqrt(2) in the even block and c_k = 1 otherwise.
-    overlaps = [np.einsum("kn,kn->n", v[:-1, :], v[1:, :]) for v in (even.eigenvectors, odd.eigenvectors)]
-    overlaps[0] += (_SQRT2 - 1.0) * even.eigenvectors[0] * even.eigenvectors[1]
-    s_diag = 0.5 - 0.5 * np.concatenate(overlaps)
-    # Each block's last row, m = M, couples to m = M + 1 by -lambda/4.
-    residual = 0.25 * lam * np.abs(np.concatenate((even.eigenvectors[-1], odd.eigenvectors[-1])))
+    even, odd = _parity_blocks(lam, cutoff)
+    levels = np.concatenate((_block_levels(lam, even, True), _block_levels(lam, odd, False)), axis=1)
+    energies = levels[0]
     # Boltzmann weights relative to the ground state (avoids underflow).
     w = np.exp(-(energies - energies[0]) / np.maximum(taus, _GROUND_STATE_TAU)[:, None])
     w[taus < _GROUND_STATE_TAU, 1:] = 0.0
     w /= w.sum(axis=1, keepdims=True)
-    e_avg, s_avg, res = np.einsum("tn,kn->kt", w, np.stack((energies, s_diag, residual)))
+    e_avg, s_avg, res = np.einsum("tn,kn->kt", w, levels)
     tail_mass, tail_energy = _free_rotor_tail(cutoff, taus, energies[0])
     return np.array((e_avg, s_avg)), np.array((res + tail_energy, res + tail_mass))
 
@@ -191,9 +204,13 @@ def pendulum_column_averages(lam: float, taus) -> tuple[np.ndarray, np.ndarray, 
     )
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=64)
 def pendulum_stroke_averages(lam: float, tau: float) -> tuple[float, float, int]:
-    """(<H>, <S>, certified cutoff) at one tau: pendulum_column_averages on [tau]."""
+    """(<H>, <S>, certified cutoff) at one tau: pendulum_column_averages on [tau].
+
+    A kernel call solves one cold stroke, so the cache serves only a stroke
+    that repeats across calls; it keeps the last 64 distinct ones.
+    """
     e_avg, s_avg, cutoff = pendulum_column_averages(lam, [tau])
     return float(e_avg[0]), float(s_avg[0]), int(cutoff[0])
 

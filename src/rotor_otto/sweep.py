@@ -138,8 +138,6 @@ def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c):
     """(q_c, q_h, w, mode, efficiency, cop), each (n_tau, n_lam): the kernel contract of cycle.py.
 
     lam_h and tau_h are the grid's axes; the cold stroke is solved once per call.
-    W is +0.0 where a kernel gives -0.0, as -(Q_c + Q_h) does when the heats
-    sum to +0.0.
     """
     check_tags(machine, model)
     if machine == MACHINE_ELECTRIC and model == MODEL_CLASSICAL:
@@ -150,7 +148,6 @@ def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c):
         q_c, q_h, w = classical.classical_cycle_magnetic(lam_h, tau_h, lam_c, tau_c)
     else:
         q_c, q_h, w = qmagnetic.cycle_heats_magnetic(lam_h, tau_h, lam_c, tau_c)
-    w += 0.0  # in place, no grid-sized temporary: -0.0 becomes +0.0, any other value (NaN, +-inf) stays
     return (q_c, q_h, w) + classify_modes(q_c, q_h, w, tau_h[:, None], tau_c)
 
 

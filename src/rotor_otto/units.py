@@ -80,13 +80,14 @@ def validate_control(lam: float, require_nonnegative: bool = False) -> float:
     return lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclePoint:
     """The four control coordinates of an ideal Otto cycle, in reduced units.
 
     The labels h/c are semantic: the hot reservoir is not colder, so
     tau_h >= tau_c is enforced (equality gives a degenerate cycle).
     No lambda normalization (e.g. integer-offset reduction) happens here.
+    Slotted: a point holds no per-instance dict, as a CycleReport holds none.
     """
 
     lambda_h: float

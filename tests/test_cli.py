@@ -278,6 +278,20 @@ class TestOptimumCommand:
         assert result["w_min"] < -0.05
         assert 0.2 <= result["lambda_h"] <= 0.3
 
+    def test_zero_minimum_prints_unsigned_zero_work(self, capsys):
+        # The scan's minimum is W = 0 at lambda_h = lambda_c, where the
+        # magnetic kernel's d (mu_h - mu_c + D) is -0.0.
+        code, out, _ = run_cli(
+            [
+                "optimum", "--lambda-c", "0.7", "--tau-c", "0.1",
+                "--lambda-h-min", "0.7", "--lambda-h-max", "1.2", "--lambda-h-count", "3",
+                "--tau-h-min", "1", "--tau-h-max", "2", "--tau-h-count", "2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert out.endswith('"w_min": 0.0}\n')
+
     def test_infinite_lambda_end_exits_2_without_warning(self, capsys):
         # The hot axis is checked as a sweep's is, before numpy sees inf - 0.2.
         with warnings.catch_warnings(record=True) as caught:

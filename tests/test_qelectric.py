@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestStrokeAverages:
             - log_partition_pendulum(lam - step, tau, cutoff)
         ) / (2 * step)
         assert s_avg == pytest.approx(fd, abs=1e-6)
+
+    def test_cold_stroke_cache_is_bounded(self):
+        # A kernel call solves one cold stroke, so the cache keeps a few, not
+        # every distinct stroke a batch of evaluate_point calls makes.
+        bound = pendulum_stroke_averages.cache_info().maxsize
+        assert 0 < bound <= 64
+        pendulum_stroke_averages.cache_clear()
+        for k in range(bound + 8):
+            pendulum_stroke_averages(0.5, 1.0 + k / 64)
+        assert pendulum_stroke_averages.cache_info().currsize == bound
 
     def test_round_off_stops_the_doubling(self):
         # At lambda_h ~ 862 the round-off of <H> is 5.9e-12 at M = 64, where
@@ -259,6 +270,22 @@ class TestColumnAverages:
             pendulum_column_averages(-1.0, [1.0])
         with pytest.raises(DomainError):
             pendulum_column_averages(1.0, [1.0, 0.0])
+
+    def test_parity_blocks_are_solved_one_at_a_time(self, monkeypatch):
+        # A block's eigenvectors are reduced and dropped before the other
+        # block is solved, so one stroke holds one block's vectors at a time.
+        vectors, live_at_solve = [], []
+
+        def spying(h):
+            live_at_solve.append(sum(ref() is not None for ref in vectors))
+            spectrum = eigensolve_sym_tridiagonal(h)
+            vectors.append(weakref.ref(spectrum.eigenvectors))
+            return spectrum
+
+        monkeypatch.setattr(qelectric, "eigensolve_sym_tridiagonal", spying)
+        pendulum_column_averages(2.0, [0.5, 4.0])
+        assert len(live_at_solve) >= 2
+        assert live_at_solve == [0] * len(live_at_solve)
 
     def test_sweep_eigensolves_do_not_grow_with_n_tau(self, monkeypatch):
         # One spectrum (two parity-block solves) per lambda_h column and

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rotor_otto import sweep
+from rotor_otto.cycle import MODE_ENGINE, MODE_HEATER, MODE_REFRIGERATOR
 from rotor_otto.sweep import (
     SweepGrid,
     SweepSpec,
@@ -225,6 +227,37 @@ def test_grid_cells_equal_point_evaluations(machine, model, lambda_c, tau_c, lam
     assert grid.cells == [grid.cell(i, j) for j in range(tau[2]) for i in range(lam[2])]
     if model == "quantum" or machine == "electric":
         assert len(modes) > 1
+
+
+class TestLeanReports:
+    def test_reports_are_slotted_and_share_the_mode_names(self):
+        spec = SweepSpec((0.0, 0.5, 4), (0.01, 2.0, 3), 0.485, 0.001, "magnetic", "quantum")
+        grid = run_sweep(spec)
+        reports = [*grid.cells, grid.cell(1, 2),
+                   *(evaluate_point("magnetic", "quantum", r.point) for r in grid.cells)]
+        for report in reports:
+            assert not hasattr(report, "__dict__") and not hasattr(report.point, "__dict__")
+            assert any(report.mode is mode for mode in (MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER))
+        assert {r.mode for r in reports} == {MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER}
+        report = reports[0]
+        with pytest.raises(AttributeError):
+            report.w = 1.0
+        # Python < 3.12 raises TypeError here (CPython gh-90055), later ones FrozenInstanceError.
+        with pytest.raises((AttributeError, TypeError)):
+            report.note = "no per-instance attributes"
+        changed = dataclasses.replace(report, w=1.0, point=dataclasses.replace(report.point, tau_h=3.0))
+        assert (changed.w, changed.point.tau_h, changed.q_c) == (1.0, 3.0, report.q_c)
+
+    def test_cells_hold_under_400_bytes_per_report(self):
+        # A report, its point, their floats and the list's slot, by tracemalloc.
+        grid = run_sweep(SweepSpec((0.0, 0.5, 30), (0.01, 2.0, 30), 0.485, 0.001, "magnetic", "quantum"))
+        tracemalloc.start()
+        try:
+            cells = grid.cells
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(cells) < 400
 
 
 class TestMomentumCurve:
