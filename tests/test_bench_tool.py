@@ -87,6 +87,7 @@ def test_record_document_from_stored_lines(tmp_path):
     lambda d: d["runs"][1].update(side="tree"),
     lambda d: d["ab"]["point_queries"]["peak_rss_mb"].update(change_median=60.0),
     lambda d: d["runs"].pop(),
+    lambda d: d["runs"][0].update(env='{"environment": {}}'),
 ])
 def test_damaged_document_rejected(damage):
     doc = copy.deepcopy(ab_document())

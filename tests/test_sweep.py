@@ -242,7 +242,9 @@ class TestLeanReports:
         report = reports[0]
         with pytest.raises(AttributeError):
             report.w = 1.0
-        # Python < 3.12 raises TypeError here (CPython gh-90055), later ones FrozenInstanceError.
+        # Python 3.11 raises TypeError here, not FrozenInstanceError: the frozen
+        # __setattr__ of a slotted dataclass calls super() on the class as it was
+        # before slots were added.
         with pytest.raises((AttributeError, TypeError)):
             report.note = "no per-instance attributes"
         changed = dataclasses.replace(report, w=1.0, point=dataclasses.replace(report.point, tau_h=3.0))
