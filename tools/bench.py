@@ -66,9 +66,10 @@ def run_benchmark(checkout: str, side: str, workload: str, seed: int, seconds: f
     run = {"side": side, "workload": workload, "seed": seed, "trace": trace,
            "env": lines[-2], "result": lines[-1]}
     result = json.loads(run["result"])
+    shown = ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()
+                      if k in ("wall_s", "setup_s", "peak_rss_mb", "trace.wall_s"))
     print(f"bench: {side} {workload} seed {seed} trace {trace}: correct {result['correct']}, "
-          + ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()
-                      if k in ("wall_s", "setup_s", "peak_rss_mb")), file=sys.stderr)
+          f"failed {result['failed']}/{result['attempted']}, {shown}", file=sys.stderr)
     return run
 
 
@@ -208,30 +209,36 @@ def main() -> int:
     args = parser.parse_args()
 
     root = os.getcwd()
-    with open(os.path.join(root, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)
+    try:
+        with open(os.path.join(root, "BENCHMARK.json")) as fh:
+            spec = json.load(fh)
+    except FileNotFoundError:
+        print("bench: run from the root of a rotor-otto checkout (BENCHMARK.json not found)", file=sys.stderr)
+        return 2
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     if args.mode == "ab":
         bad = set(args.workload or ()) - set(workloads)
         if bad or args.pairs < 1:
             parser.error(f"unknown workload {sorted(bad)}" if bad else "--pairs must be >= 1")
-    doc = {"schema": SCHEMA, "mode": args.mode, "commit": git(root, "rev-parse", "HEAD").strip(),
-           "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no").strip()),
-           "seconds": seconds}
     runs = []
     try:
+        doc = {"schema": SCHEMA, "mode": args.mode, "commit": git(root, "rev-parse", "HEAD").strip(),
+               "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no").strip()),
+               "seconds": seconds}
         if args.mode == "record":
-            for workload in workloads:
-                seed = secrets.randbelow(10**6)
+            # Distinct seeds: runs are told apart by (workload, seed).
+            for workload, seed in zip(workloads, secrets.SystemRandom().sample(range(10**6), len(workloads))):
                 runs += [run_benchmark(root, "tree", workload, seed, seconds, trace) for trace in (0, 1)]
         else:
             doc["parent"] = git(root, "rev-parse", "--verify", args.parent + "^{commit}").strip()
             checkouts = {"parent": prepare_checkout(root, "parent", doc["parent"]),
                          "change": prepare_checkout(root, "change", None)}
+            chosen = args.workload or workloads
+            seeds = iter(secrets.SystemRandom().sample(range(10**6), args.pairs * len(chosen)))
             for k in range(args.pairs):
-                for workload in args.workload or workloads:
-                    seed = secrets.randbelow(10**6)
+                for workload in chosen:
+                    seed = next(seeds)
                     for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                         runs.append(run_benchmark(checkouts[side], side, workload, seed, seconds))
             doc["end_to_end"] = spec["end_to_end"]
