@@ -4,7 +4,10 @@ Each machine/model kernel takes a sweep's two axes and its cold stroke,
     kernel(lam_h[n_lam], tau_h[n_tau], lam_c, tau_c) -> (Q_c, Q_h, W),
     Q_c = <H_c>_c - <H_c>_h,   Q_h = <H_h>_h - <H_h>_c,   W = -(Q_c + Q_h),
 each of shape (n_tau, n_lam), entry [i_tau, i_lam] at (lam_h[i_lam],
-tau_h[i_tau]); one cycle is the 1x1 case.  A zero W is +0.0, never -0.0.
+tau_h[i_tau]); one cycle is the 1x1 case.  A zero W is +0.0, never -0.0:
+a negation or product can give -0.0, as -(Q_c + Q_h) does where the heats
+sum to +0.0, so each kernel adds 0.0 to W.  That leaves every other value,
+NaN and inf too, as it is.
 Every cell must be a valid cycle point (see CyclePoint); no term grows as
 lambda^2 (the magnetic kernels cancel them algebraically).  Here the results
 are classified, elementwise:
@@ -100,13 +103,12 @@ def check_tags(machine: str, model: str) -> None:
 def heats(hh, hc, ch, cc):
     """(Q_c, Q_h, W) from the mean-energy quartet entries <H_i>_j, elementwise.
 
-    For the electric machines, whose entries grow only as lambda.  W is +0.0
-    where -(Q_c + Q_h) gives -0.0, as it does when the heats sum to +0.0.
+    For the electric machines, whose entries grow only as lambda.
     """
     q_c = cc - ch
     q_h = hh - hc
     w = -(q_c + q_h)
-    w += 0.0  # in place, no grid-sized temporary: -0.0 becomes +0.0, any other value (NaN, +-inf) stays
+    w += 0.0  # in place: no grid-sized temporary
     return q_c, q_h, w
 
 

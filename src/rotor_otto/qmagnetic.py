@@ -143,8 +143,7 @@ def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
 
     in which the lambda^2 and f^2 terms have cancelled algebraically, so the
     heats keep full precision at any |lambda| and near the ground state.
-    W is +0.0 where d = 0 and mu_h - mu_c + D < 0 make it -0.0.  The hot
-    moments of the whole grid are one momentum_moments call.
+    The hot moments of the whole grid are one momentum_moments call.
     """
     mu_c, nu_c, _, _ = momentum_moments(lam_c, tau_c)
     mu_h, nu_h, _, _ = momentum_moments(lam_h, tau_h)
@@ -153,7 +152,7 @@ def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
     q_c = 0.5 * (nu_c - nu_h) + f_c * (mu_h - mu_c) - shift * (mu_h - f_c + 0.5 * shift)
     q_h = 0.5 * (nu_h - nu_c) + f_h * (mu_c - mu_h) + shift * (mu_c - f_h - 0.5 * shift)
     w = (lam_h - lam_c) * (mu_h - mu_c + shift)
-    w += 0.0  # in place: -0.0 becomes +0.0
+    w += 0.0  # in place: no grid-sized temporary
     return q_c, q_h, w
 
 

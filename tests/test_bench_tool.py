@@ -5,6 +5,8 @@ import copy
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
@@ -38,10 +40,9 @@ def stored_run(side, seed, peak_rss_mb):
             "env": json.dumps(env), "result": json.dumps(result)}
 
 
-def ab_document(pairs=10):
-    # The change holds 1.2 MB less in every pair; wall_s and setup_s tie.
-    runs = [stored_run(side, seed, 69.3 + 0.01 * seed - (side == "change") * 1.2)
-            for seed in range(pairs) for side in bench.SIDES]
+def ab_document(pairs=10, rss=lambda side, seed: 69.3 + 0.01 * seed - (side == "change") * 1.2):
+    # By default the change holds 1.2 MB less in every pair; wall_s and setup_s tie.
+    runs = [stored_run(side, seed, rss(side, seed)) for seed in range(pairs) for side in bench.SIDES]
     return {"schema": bench.SCHEMA, "mode": "ab", "commit": COMMIT, "dirty": False, "seconds": 40,
             "parent": "1" * 40, "end_to_end": END_TO_END, "seeds": list(range(pairs)), "runs": runs,
             "ab": bench.compare(runs, END_TO_END)}
@@ -69,6 +70,28 @@ def test_gain_needs_nine_pairs_in_ten():
     assert rss["wins"]["change"] == 8 and not rss["gain"]
 
 
+def test_gain_needs_ten_pairs():
+    doc = ab_document(pairs=3)
+    rss = doc["ab"]["point_queries"]["peak_rss_mb"]
+    assert rss["wins"]["change"] == 3 and not rss["gain"]
+    rss["gain"] = True  # a gain claimed on three pairs
+    with pytest.raises(ValueError):
+        bench.check_document(doc)
+
+
+def test_wide_spread_is_unresolved_unless_the_sides_are_apart():
+    # The parent's peak_rss_mb spreads 60..87 MB, an IQR far above its 0.1 bound.
+    def rss(side, seed):
+        return 60.0 + 3 * seed if side == "parent" else 50.0 + 0.1 * seed
+    apart = bench.compare(ab_document(rss=rss)["runs"], END_TO_END)
+    assert not apart["point_queries"]["peak_rss_mb"]["spread_exceeds_bound"]
+    overlap = bench.compare(ab_document(rss=lambda side, seed: 70.0 if (side, seed) == ("change", 9)
+                                        else rss(side, seed))["runs"], END_TO_END)
+    assert overlap["point_queries"]["peak_rss_mb"]["spread_exceeds_bound"]
+    line = [x for x in bench.summary(overlap) if "peak_rss_mb" in x]
+    assert len(line) == 1 and line[0].endswith("unresolved") and "within bound" not in line[0]
+
+
 def test_record_document_from_stored_lines(tmp_path):
     run = dict(stored_run("tree", 5, 67.9), trace=1)
     doc = {"schema": bench.SCHEMA, "mode": "record", "commit": COMMIT, "dirty": True, "seconds": 40,
@@ -94,6 +117,23 @@ def test_damaged_document_rejected(damage):
     damage(doc)
     with pytest.raises(ValueError):
         bench.check_document(doc)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_parent_checkout_holds_the_parents_src(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "m.py").write_text("OLD = 1\n")
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    (tmp_path / "BENCHMARK.json").write_text("{}")
+    commit = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", "commit", "-qm", "p"]
+    for cmd in (["init", "-q"], ["add", "."], commit):
+        subprocess.run(["git", *cmd], cwd=tmp_path, check=True)
+    (tmp_path / "src" / "m.py").write_text("NEW = 1\n")
+    for side, parent, text in (("parent", "HEAD", "OLD = 1\n"), ("change", None, "NEW = 1\n")):
+        checkout = pathlib.Path(bench.prepare_checkout(str(tmp_path), side, parent))
+        assert (checkout / "src" / "m.py").read_text() == text
+        assert (checkout / "perfbench" / "run.py").exists() and (checkout / "BENCHMARK.json").exists()
 
 
 def test_committed_bench_files_pass():

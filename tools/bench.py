@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench.py record
-    python3 tools/bench.py ab PARENT [--pairs 10] [--workload point_queries ...]
+    python3 tools/bench.py ab PARENT
 
 Both modes run the benchmark as BENCHMARK.json declares it, `python3
 perfbench/run.py`, unchanged, one fresh seed per run, and write BENCH_<n>.json
@@ -13,8 +13,9 @@ at the root of the checkout, n the next free integer.
   traced (--trace 1) on the same seed.
 - ab PARENT extracts the parent's src/ with `git archive` into
   .bench_build/parent and copies this tree's src/ into .bench_build/change,
-  each beside this tree's perfbench/ and BENCHMARK.json.  Each pair runs both
-  sides untraced on one fresh seed, alternating which side runs first.  The
+  each beside this tree's perfbench/ and BENCHMARK.json.  It runs PAIRS pairs
+  of every workload; each pair runs both sides untraced on one fresh seed,
+  alternating which side runs first.  The
   file holds, per workload and end-to-end metric, the per-pair values and
   winners, the medians, and the parent's quartiles.
 
@@ -38,6 +39,7 @@ import sys
 import tarfile
 
 SCHEMA = 1
+PAIRS = 10
 SIDES = ("parent", "change")
 BUILD_DIR = ".bench_build"
 RUN_KEYS = {"side", "workload", "seed", "trace", "env", "result"}
@@ -85,12 +87,14 @@ def compare(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric, the A/B statistics of the untraced runs.
 
     Runs pair up by (workload, seed).  A pair's winner is the side whose value
-    is better, or "tie".  gain: the change wins at least nine tenths of the
-    pairs and its median is better than the parent's by more than the
-    parent's interquartile distance.  within_bound: the change's median is
-    worse than the parent's by at most the metric's bound, a share.
-    spread_exceeds_bound: the parent's interquartile distance, as a share of
-    its median, is larger than that bound, so the metric is unresolved.
+    is better, or "tie".  gain: at least PAIRS pairs ran, the change wins at
+    least nine tenths of them, and its median is better than the parent's by
+    more than the parent's interquartile distance.  within_bound: the
+    change's median is worse than the parent's by at most the metric's
+    bound, a share.  spread_exceeds_bound: the parent's interquartile
+    distance, as a share of its median, is larger than that bound, and not
+    every change run is better than every parent run, so the metric is
+    unresolved.
     """
     values: dict = {}
     for run in runs:
@@ -116,16 +120,31 @@ def compare(runs: list[dict], end_to_end: list[dict]) -> dict:
             p_q = quartiles(parent)
             wins = {side: sum(x[3] == side for x in pairs) for side in ("change", "parent", "tie")}
             gain = c_med - p_med if not lower else p_med - c_med
+            apart = max(change) < min(parent) if lower else min(change) > max(parent)
             table.setdefault(workload, {})[m["name"]] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 "pairs": pairs, "wins": wins,
                 "parent_median": p_med, "change_median": c_med,
                 "parent_quartiles": p_q, "change_quartiles": quartiles(change),
-                "gain": 10 * wins["change"] >= 9 * len(pairs) and gain > p_q[1] - p_q[0],
+                "gain": (len(pairs) >= PAIRS and 10 * wins["change"] >= 9 * len(pairs)
+                         and gain > p_q[1] - p_q[0]),
                 "within_bound": -gain <= m["bound"] * abs(p_med),
-                "spread_exceeds_bound": p_q[1] - p_q[0] > m["bound"] * abs(p_med),
+                "spread_exceeds_bound": p_q[1] - p_q[0] > m["bound"] * abs(p_med) and not apart,
             }
     return table
+
+
+def summary(table: dict) -> list[str]:
+    """One line per workload and metric of compare's table; an unresolved metric gets no bound verdict."""
+    lines = []
+    for workload, by_metric in table.items():
+        for name, s in by_metric.items():
+            verdict = "unresolved" if s["spread_exceeds_bound"] else f"within bound {s['within_bound']}"
+            lines.append(f"{workload:15} {name:12} parent {s['parent_median']:.4g} "
+                         f"[{s['parent_quartiles'][0]:.4g}, {s['parent_quartiles'][1]:.4g}]  "
+                         f"change {s['change_median']:.4g}  change wins {s['wins']['change']}/"
+                         f"{len(s['pairs'])}  gain {s['gain']}  {verdict}")
+    return lines
 
 
 def check_document(doc: dict) -> None:
@@ -191,7 +210,8 @@ def prepare_checkout(root: str, side: str, parent: str | None) -> str:
     else:
         archive = git(root, "archive", "--format=tar", parent, "src", text=False)
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(checkout, filter="data")
+            # The "data" filter exists from Python 3.10.12 and 3.11.4 on.
+            tar.extractall(checkout, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     shutil.copytree(os.path.join(root, "perfbench"), os.path.join(checkout, "perfbench"),
                     ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(os.path.join(root, "BENCHMARK.json"), checkout)
@@ -204,8 +224,6 @@ def main() -> int:
     sub.add_parser("record", help="run every workload on this tree, untraced and traced")
     ab = sub.add_parser("ab", help="alternate PARENT's src/ and this tree's on fresh seeds")
     ab.add_argument("parent", help="a git revision")
-    ab.add_argument("--pairs", type=int, default=10)
-    ab.add_argument("--workload", action="append", help="one workload (repeatable); default all")
     args = parser.parse_args()
 
     root = os.getcwd()
@@ -217,10 +235,6 @@ def main() -> int:
         return 2
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.mode == "ab":
-        bad = set(args.workload or ()) - set(workloads)
-        if bad or args.pairs < 1:
-            parser.error(f"unknown workload {sorted(bad)}" if bad else "--pairs must be >= 1")
     runs = []
     try:
         doc = {"schema": SCHEMA, "mode": args.mode, "commit": git(root, "rev-parse", "HEAD").strip(),
@@ -234,10 +248,9 @@ def main() -> int:
             doc["parent"] = git(root, "rev-parse", "--verify", args.parent + "^{commit}").strip()
             checkouts = {"parent": prepare_checkout(root, "parent", doc["parent"]),
                          "change": prepare_checkout(root, "change", None)}
-            chosen = args.workload or workloads
-            seeds = iter(secrets.SystemRandom().sample(range(10**6), args.pairs * len(chosen)))
-            for k in range(args.pairs):
-                for workload in chosen:
+            seeds = iter(secrets.SystemRandom().sample(range(10**6), PAIRS * len(workloads)))
+            for k in range(PAIRS):
+                for workload in workloads:
                     seed = next(seeds)
                     for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                         runs.append(run_benchmark(checkouts[side], side, workload, seed, seconds))
@@ -251,12 +264,7 @@ def main() -> int:
     doc["runs"] = runs
     if args.mode == "ab":
         doc["ab"] = compare(runs, doc["end_to_end"])
-        for workload, by_metric in doc["ab"].items():
-            for name, s in by_metric.items():
-                print(f"{workload:15} {name:12} parent {s['parent_median']:.4g} "
-                      f"[{s['parent_quartiles'][0]:.4g}, {s['parent_quartiles'][1]:.4g}]  "
-                      f"change {s['change_median']:.4g}  change wins {s['wins']['change']}/"
-                      f"{len(s['pairs'])}  gain {s['gain']}  within bound {s['within_bound']}")
+        print(*summary(doc["ab"]), sep="\n")
     print(f"bench: wrote {write_document(root, doc)}")
     return 0
 
