@@ -50,5 +50,6 @@ def classical_cycle_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
     docstring: no lambda^2 term is formed, so the heats keep full precision
     at any |lambda|.
     """
-    d2 = (lam_h - lam_c) ** 2 + np.zeros((len(tau_h), 1))  # one W row per tau_h
+    with np.errstate(over="ignore"):  # past the float range, W = +inf and Q_c = Q_h = -inf (a Heater)
+        d2 = (lam_h - lam_c) ** 2 + np.zeros((len(tau_h), 1))  # one W row per tau_h
     return 0.5 * (tau_c - tau_h)[:, None] - 0.5 * d2, 0.5 * (tau_h - tau_c)[:, None] - 0.5 * d2, d2

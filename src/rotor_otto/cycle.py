@@ -43,8 +43,10 @@ MODEL_QUANTUM = "quantum"
 
 MODE_TOL = 1e-12
 # Each mode name by itself, so that a report holds one of the constants above
-# and not a fresh str per report.
+# and not a fresh str per report; and the constants by classify_modes' code,
+# 2 engine + refrigerator, so that a mode array holds references to them.
 _MODES = {mode: mode for mode in (MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER)}
+_MODE_OF_CODE = np.array([MODE_HEATER, MODE_REFRIGERATOR, MODE_ENGINE], dtype=object)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,8 +117,11 @@ def heats(hh, hc, ch, cc):
 def classify_modes(q_c, q_h, w, tau_h, tau_c):
     """Mode, efficiency and COP arrays of cycles with heats q_c, q_h and work w.
 
-    The arguments broadcast; an absent efficiency or COP is NaN.  Raises
-    DomainError on NaN heat, on a simultaneous engine+refrigerator
+    q_c, q_h and w share one shape, with which tau_h and tau_c broadcast.
+    mode is an object array of the MODE_* constants themselves.  Efficiency
+    and COP are divided only on the cells that report them, and are NaN
+    elsewhere; a refrigerator with W = 0 has COP +inf.
+    Raises DomainError on NaN heat, on a simultaneous engine+refrigerator
     classification (second-law violation under full thermalization), and on
     an engine efficiency beyond the Carnot bound.
     """
@@ -130,13 +135,16 @@ def classify_modes(q_c, q_h, w, tau_h, tau_c):
         raise DomainError(
             f"second-law violation: W={w[both].flat[0]} < 0 and Q_c={q_c[both].flat[0]} > 0"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        efficiency = np.where(engine, -w / q_h, np.nan)
-        cop = np.where(fridge, np.where(w != 0.0, q_c / w, np.inf), np.nan)
+    efficiency = np.full(w.shape, np.nan)
+    cop = efficiency.copy()
+    with np.errstate(divide="ignore", over="ignore"):  # q_c / 0.0 is +inf, as is a COP past the float range
+        np.divide(w, q_h, out=efficiency, where=engine)
+        np.negative(efficiency, out=efficiency, where=engine)
+        np.divide(q_c, w, out=cop, where=fridge)
     off = engine & ~((efficiency > 0.0) & (efficiency <= 1.0 - tau_c / tau_h + 1e-9))
     if off.any():
         raise DomainError(f"engine efficiency {efficiency[off].flat[0]} outside (0, Carnot]")
-    mode = np.where(engine, MODE_ENGINE, np.where(fridge, MODE_REFRIGERATOR, MODE_HEATER))
+    mode = _MODE_OF_CODE[2 * engine.view(np.int8) + fridge]
     return mode, efficiency, cop
 
 

@@ -57,6 +57,10 @@ class MomentumStats:
     terms_used: int
 
 
+# Every exponent of a weight is <= 0, and is -inf where it passes the float
+# range (subnormal tau): the weight is 0.0.  The ground-state term of log_z,
+# ~ -lambda^2, is +-inf past |lambda| ~ 1e154; no heat uses log_z.
+@np.errstate(over="ignore")
 def momentum_moments(lam, tau):
     """Gibbs moments of k = m - round(lambda), elementwise over lambda, at each tau.
 
@@ -80,7 +84,9 @@ def momentum_moments(lam, tau):
     taus = [validate_temperature(t) for t in tau.ravel().tolist()]
     lam = np.asarray(lam, dtype=float)
     validate_control(np.max(np.abs(lam), initial=0.0))
-    halves = [math.ceil(math.sqrt(2.0 * t * _WINDOW_NATS)) + 1 for t in taus]
+    # A width past the cap is taken as inf, the width near the float maximum, which has no ceil.
+    widths = (math.sqrt(2.0 * t * _WINDOW_NATS) for t in taus)
+    halves = [math.ceil(width) + 1 if width < _WINDOW_MAX_HALFWIDTH else math.inf for width in widths]
     rows_of_half: dict[int, list[int]] = {}
     for j, (t, half) in enumerate(zip(taus, halves)):
         if half > _WINDOW_MAX_HALFWIDTH:
@@ -149,9 +155,10 @@ def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
     mu_h, nu_h, _, _ = momentum_moments(lam_h, tau_h)
     c_h, c_c = np.round(lam_h), round(lam_c)
     f_h, f_c, shift = lam_h - c_h, lam_c - c_c, c_h - c_c
-    q_c = 0.5 * (nu_c - nu_h) + f_c * (mu_h - mu_c) - shift * (mu_h - f_c + 0.5 * shift)
-    q_h = 0.5 * (nu_h - nu_c) + f_h * (mu_c - mu_h) + shift * (mu_c - f_h - 0.5 * shift)
-    w = (lam_h - lam_c) * (mu_h - mu_c + shift)
+    with np.errstate(over="ignore"):  # past the float range, W = +inf and Q_c = Q_h = -inf (a Heater)
+        q_c = 0.5 * (nu_c - nu_h) + f_c * (mu_h - mu_c) - shift * (mu_h - f_c + 0.5 * shift)
+        q_h = 0.5 * (nu_h - nu_c) + f_h * (mu_c - mu_h) + shift * (mu_c - f_h - 0.5 * shift)
+        w = (lam_h - lam_c) * (mu_h - mu_c + shift)
     w += 0.0  # in place: no grid-sized temporary
     return q_c, q_h, w
 

@@ -19,11 +19,9 @@ import numpy as np
 
 from . import classical, qelectric, qmagnetic
 from .cycle import (
+    _MODES,
     JSON_KEYS,
     MACHINE_ELECTRIC,
-    MODE_ENGINE,
-    MODE_HEATER,
-    MODE_REFRIGERATOR,
     MODEL_CLASSICAL,
     CycleReport,
     assemble_cycle,
@@ -102,7 +100,8 @@ class SweepGrid:
     """Evaluated sweep: arrays of shape (n_tau, n_lambda), tau rows and lambda columns.
 
     Entry [i_tau, i_lambda] belongs to (lambda_axis[i_lambda], tau_axis[i_tau]);
-    an absent efficiency or COP is NaN.  cell() and cells build CycleReports
+    an absent efficiency or COP is NaN.  mode is an object array of the
+    cycle.MODE_* constants themselves, 8 bytes per cell.  cell() and cells build CycleReports
     from the arrays and the spec's axes on each call.
     """
 
@@ -411,24 +410,24 @@ def read_json(path) -> SweepGrid:
         spec = SweepSpec.from_dict(doc["spec"])
         shape = (spec.tau_h_range[2], spec.lambda_h_range[2])
 
-        def column(key, dtype=float):
+        def column(key):
             values = [math.nan if d[key] is None else d[key] for d in doc["cells"]]
-            return np.array(values, dtype=dtype).reshape(shape)
+            return np.array(values, dtype=float).reshape(shape)
 
+        modes = [_MODES.get(d["mode"]) for d in doc["cells"]]  # the constants themselves
+        if None in modes:
+            raise DomainError(f"unknown mode {doc['cells'][modes.index(None)]['mode']!r}")
         grid = SweepGrid(
             spec=spec,
             q_c=column("q_c"),
             q_h=column("q_h"),
             w=column("w"),
-            mode=column("mode", dtype=str),
+            mode=np.array(modes, dtype=object).reshape(shape),
             efficiency=column("efficiency"),
             cop=column("cop"),
             boundary_engine=[[tuple(p) for p in line] for line in doc["boundary_engine"]],
             boundary_fridge=[[tuple(p) for p in line] for line in doc["boundary_fridge"]],
         )
-        unknown = set(np.unique(grid.mode).tolist()) - {MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER}
-        if unknown:
-            raise DomainError(f"unknown mode {sorted(unknown)[0]!r}")
         _check_cells(doc["cells"], spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path} holds no sweep grid: {type(exc).__name__}: {exc}") from exc

@@ -1,11 +1,23 @@
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotor_otto.cycle import assemble_cycle, classify_modes, heats
+from rotor_otto.cycle import (
+    MODE_ENGINE,
+    MODE_HEATER,
+    MODE_REFRIGERATOR,
+    MODE_TOL,
+    assemble_cycle,
+    classify_modes,
+    heats,
+)
 from rotor_otto.selftest import classical_electric_mean_energy_quadrature
 from rotor_otto.sweep import evaluate_point
-from rotor_otto.units import CyclePoint, DomainError
+from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
 
 
 def _classify(q_c, q_h, w, p):
@@ -109,3 +121,47 @@ def test_mode_tolerance_band():
     p = CyclePoint(1.0, 1.0, 2.0, 1.0)
     r = _classify(*heats(hh=0.0, hc=1e-14, ch=0.0, cc=0.0), p)
     assert r.mode == "Heater"
+
+
+# The whole domain the API accepts, but the quantum electric machine, whose
+# pendulum solves are too slow to draw by the hundred: |lambda| up to 1e300
+# (electric lambda >= 0) and tau_c <= tau_h from the smallest subnormal to
+# near the float maximum.  Each magnitude is drawn from hypothesis' floats,
+# uniformly in its log, or from the paper's window, where all three modes occur.
+_TAUS = st.one_of(st.floats(min_value=5e-324, max_value=1.7e308),
+                  st.floats(min_value=-323.0, max_value=308.0).map(lambda e: 10.0 ** e),
+                  st.floats(min_value=1e-3, max_value=10.0))
+_LAMBDAS = st.one_of(st.floats(min_value=0.0, max_value=1e300),
+                     st.floats(min_value=-323.0, max_value=300.0).map(lambda e: 10.0 ** e),
+                     st.floats(min_value=0.0, max_value=3.0))
+
+
+@st.composite
+def _domain_points(draw):
+    machine, model = draw(st.sampled_from([("electric", "classical"), ("magnetic", "classical"),
+                                           ("magnetic", "quantum")]))
+    sign = (lambda: 1.0) if machine == "electric" else (lambda: draw(st.sampled_from([1.0, -1.0])))
+    tau_c, tau_h = sorted((draw(_TAUS), draw(_TAUS)))
+    return machine, model, CyclePoint(sign() * draw(_LAMBDAS), sign() * draw(_LAMBDAS), tau_h, tau_c)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_domain_points())
+def test_whole_domain(case):
+    """A report or DomainError/ConvergenceError, and no warning; a report keeps the first
+    law where its heats are finite, a mode that matches their signs, and the classical
+    magnetic no-go theorem."""
+    machine, model, point = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = evaluate_point(machine, model, point)
+        except (DomainError, ConvergenceError):
+            return
+    if all(math.isfinite(x) for x in (r.q_c, r.q_h, r.w)):
+        assert abs(r.w + r.q_c + r.q_h) <= 1e-12 * max(abs(r.q_c), abs(r.q_h), abs(r.w)) + 1e-300
+    mode = MODE_ENGINE if r.w < -MODE_TOL else MODE_REFRIGERATOR if r.q_c > MODE_TOL else MODE_HEATER
+    assert r.mode is mode
+    assert (r.efficiency is not None, r.cop is not None) == (mode == MODE_ENGINE, mode == MODE_REFRIGERATOR)
+    if (machine, model) == ("magnetic", "classical"):
+        assert r.mode is MODE_HEATER and r.w >= 0.0

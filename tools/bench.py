@@ -15,9 +15,11 @@ at the root of the checkout, n the next free integer.
   .bench_build/parent and copies this tree's src/ into .bench_build/change,
   each beside this tree's perfbench/ and BENCHMARK.json.  It runs PAIRS pairs
   of every workload; each pair runs both sides untraced on one fresh seed,
-  alternating which side runs first.  The
+  alternating which side runs first.  Then it runs both sides traced
+  (--trace 1) once per workload, on one fresh seed that they share.  The
   file holds, per workload and end-to-end metric, the per-pair values and
-  winners, the medians, and the parent's quartiles.
+  winners, the medians, and the parent's quartiles; and per workload and
+  per-layer metric, the traced runs' values side by side.
 
 The file holds the commit (and whether tracked files differ from it), the
 seeds, and each run's environment and result lines as the benchmark printed
@@ -134,6 +136,26 @@ def compare(runs: list[dict], end_to_end: list[dict]) -> dict:
     return table
 
 
+def layers(runs: list[dict], per_layer: list[dict]) -> dict:
+    """Per workload and per-layer metric, the parent's and the change's value from the traced runs.
+
+    Each traced workload must have run once on each side, on one seed.
+    """
+    traced: dict = {}
+    for run in runs:
+        if run["trace"]:
+            traced.setdefault(run["workload"], []).append(run)
+    table: dict = {}
+    for workload, pair in traced.items():
+        if sorted(run["side"] for run in pair) != sorted(SIDES) or pair[0]["seed"] != pair[1]["seed"]:
+            raise ValueError(f"{workload}: the traced runs are not one per side on a shared seed")
+        metrics = {run["side"]: json.loads(run["result"])["metrics"] for run in pair}
+        table[workload] = {m["name"]: {"unit": m["unit"], "better": m["better"],
+                                       **{side: metrics[side][m["name"]]["value"] for side in SIDES}}
+                           for m in per_layer if all(m["name"] in metrics[side] for side in SIDES)}
+    return table
+
+
 def summary(table: dict) -> list[str]:
     """One line per workload and metric of compare's table; an unresolved metric gets no bound verdict."""
     lines = []
@@ -183,6 +205,9 @@ def _check(doc: dict) -> None:
              "parent is not a full git hash")
         need(doc.get("ab") == compare(doc["runs"], doc["end_to_end"]),
              "ab is not the comparison of the runs")
+        # Files written before the traced pairs hold neither traced runs nor a trace table.
+        need(doc.get("trace", {}) == layers(doc["runs"], doc.get("per_layer", [])),
+             "trace is not the per-layer metrics of the traced runs")
 
 
 def next_path(root: str) -> str:
@@ -248,13 +273,16 @@ def main() -> int:
             doc["parent"] = git(root, "rev-parse", "--verify", args.parent + "^{commit}").strip()
             checkouts = {"parent": prepare_checkout(root, "parent", doc["parent"]),
                          "change": prepare_checkout(root, "change", None)}
-            seeds = iter(secrets.SystemRandom().sample(range(10**6), PAIRS * len(workloads)))
+            seeds = iter(secrets.SystemRandom().sample(range(10**6), (PAIRS + 1) * len(workloads)))
             for k in range(PAIRS):
                 for workload in workloads:
                     seed = next(seeds)
                     for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                         runs.append(run_benchmark(checkouts[side], side, workload, seed, seconds))
-            doc["end_to_end"] = spec["end_to_end"]
+            for workload in workloads:
+                seed = next(seeds)
+                runs += [run_benchmark(checkouts[side], side, workload, seed, seconds, 1) for side in SIDES]
+            doc["end_to_end"], doc["per_layer"] = spec["end_to_end"], spec["per_layer"]
     except BenchError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 1
@@ -264,6 +292,7 @@ def main() -> int:
     doc["runs"] = runs
     if args.mode == "ab":
         doc["ab"] = compare(runs, doc["end_to_end"])
+        doc["trace"] = layers(runs, doc["per_layer"])
         print(*summary(doc["ab"]), sep="\n")
     print(f"bench: wrote {write_document(root, doc)}")
     return 0
