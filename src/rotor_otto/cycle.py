@@ -43,10 +43,10 @@ MODEL_QUANTUM = "quantum"
 
 MODE_TOL = 1e-12
 # Each mode name by itself, so that a report holds one of the constants above
-# and not a fresh str per report; and the constants by classify_modes' code,
-# 2 engine + refrigerator, so that a mode array holds references to them.
+# and not a fresh str per report; and each as a 0-d object array, from which
+# np.where fills a mode array with references to the constants.
 _MODES = {mode: mode for mode in (MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER)}
-_MODE_OF_CODE = np.array([MODE_HEATER, MODE_REFRIGERATOR, MODE_ENGINE], dtype=object)
+_ENGINE, _REFRIGERATOR, _HEATER = (np.array(mode, dtype=object) for mode in _MODES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +144,7 @@ def classify_modes(q_c, q_h, w, tau_h, tau_c):
     off = engine & ~((efficiency > 0.0) & (efficiency <= 1.0 - tau_c / tau_h + 1e-9))
     if off.any():
         raise DomainError(f"engine efficiency {efficiency[off].flat[0]} outside (0, Carnot]")
-    mode = _MODE_OF_CODE[2 * engine.view(np.int8) + fridge]
+    mode = np.where(engine, _ENGINE, np.where(fridge, _REFRIGERATOR, _HEATER))
     return mode, efficiency, cop
 
 

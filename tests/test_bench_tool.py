@@ -28,7 +28,16 @@ RESULT_LINE = (
     '"setup_s": {"value": 0.17362218198832124, "unit": "s"}, '
     '"peak_rss_mb": {"value": 67.9453125, "unit": "MB"}}}'
 )
+# The result line of a `--trace 1` run, cut to four of its per-layer metrics.
+TRACED_RESULT_LINE = (
+    '{"correct": true, "attempted": 30, "failed": 0, "metrics": {'
+    '"trace.wall_s": {"value": 0.2985523310053395, "unit": "s"}, '
+    '"sweep.write_csv_pct": {"value": 46.69032472149257, "unit": "%"}, '
+    '"sweep.cells": {"value": 80000, "unit": "count"}, '
+    '"qelectric.cache_hits": {"value": 0, "unit": "count"}}}'
+)
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+PER_LAYER = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
 COMMIT = "0" * 40
 
 
@@ -40,12 +49,23 @@ def stored_run(side, seed, peak_rss_mb):
             "env": json.dumps(env), "result": json.dumps(result)}
 
 
+def traced_run(side, seed, write_csv_pct):
+    env, result = json.loads(ENV_LINE), json.loads(TRACED_RESULT_LINE)
+    env["env"]["seed"] = seed
+    result["metrics"]["sweep.write_csv_pct"]["value"] = write_csv_pct
+    return {"side": side, "workload": "point_queries", "seed": seed, "trace": 1,
+            "env": json.dumps(env), "result": json.dumps(result)}
+
+
 def ab_document(pairs=10, rss=lambda side, seed: 69.3 + 0.01 * seed - (side == "change") * 1.2):
     # By default the change holds 1.2 MB less in every pair; wall_s and setup_s tie.
+    # One traced run per side follows on seed 100, as `ab` runs them.
     runs = [stored_run(side, seed, rss(side, seed)) for seed in range(pairs) for side in bench.SIDES]
+    runs += [traced_run(side, 100, 40.0 + (side == "change")) for side in bench.SIDES]
     return {"schema": bench.SCHEMA, "mode": "ab", "commit": COMMIT, "dirty": False, "seconds": 40,
-            "parent": "1" * 40, "end_to_end": END_TO_END, "seeds": list(range(pairs)), "runs": runs,
-            "ab": bench.compare(runs, END_TO_END)}
+            "parent": "1" * 40, "end_to_end": END_TO_END, "per_layer": PER_LAYER,
+            "seeds": [*range(pairs), 100], "runs": runs,
+            "ab": bench.compare(runs, END_TO_END), "trace": bench.layers(runs, PER_LAYER)}
 
 
 def test_ab_document_from_stored_lines():
@@ -57,6 +77,21 @@ def test_ab_document_from_stored_lines():
     assert rss["parent_median"] - rss["change_median"] == pytest.approx(1.2)
     wall = doc["ab"]["point_queries"]["wall_s"]
     assert wall["wins"]["tie"] == 10 and not wall["gain"] and wall["within_bound"]
+    # The traced pair's per-layer metrics, side by side; the untraced runs have none.
+    trace = doc["trace"]["point_queries"]
+    assert list(trace) == ["trace.wall_s", "sweep.cells", "sweep.write_csv_pct", "qelectric.cache_hits"]
+    assert trace["sweep.write_csv_pct"] == {"unit": "%", "better": "lower", "parent": 40.0, "change": 41.0}
+    assert trace["qelectric.cache_hits"] == {"unit": "count", "better": "higher", "parent": 0, "change": 0}
+
+
+def test_ab_document_without_traced_runs():
+    # The A/B files written before `ab` traced a pair hold neither traced runs nor a trace table.
+    doc = ab_document()
+    doc["runs"] = [run for run in doc["runs"] if not run["trace"]]
+    doc["seeds"].remove(100)
+    for key in ("trace", "per_layer"):
+        doc.pop(key)
+    bench.check_document(doc)
 
 
 def test_gain_needs_nine_pairs_in_ten():
@@ -111,6 +146,10 @@ def test_record_document_from_stored_lines(tmp_path):
     lambda d: d["ab"]["point_queries"]["peak_rss_mb"].update(change_median=60.0),
     lambda d: d["runs"].pop(),
     lambda d: d["runs"][0].update(env='{"environment": {}}'),
+    lambda d: d["trace"]["point_queries"]["sweep.cells"].update(change=1),
+    lambda d: d.pop("trace"),
+    lambda d: d["runs"].pop(0),
+    lambda d: d["runs"][-1].update(seed=0, env=d["runs"][0]["env"]),
 ])
 def test_damaged_document_rejected(damage):
     doc = copy.deepcopy(ab_document())

@@ -241,6 +241,18 @@ class TestSweepCommand:
         assert out.read_bytes() == b"x\n"
 
 
+class TestMomentumWindowCap:
+    # At tau near the float maximum the window's width sqrt(80 tau) is inf.
+    @pytest.mark.parametrize("argv", [
+        ["cycle", "--machine", "magnetic", "--model", "quantum", "--lambda-h", "0.3", "--lambda-c", "0.2",
+         "--tau-h", "1e308", "--tau-c", "1"],
+        ["momentum", "--lambda-min", "0", "--lambda-max", "1", "--lambda-count", "3", "--tau", "1e308"],
+    ], ids=["cycle", "momentum"])
+    def test_huge_tau_exits_3(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (3, "", "numerical failure: momentum window too wide at tau=1e+308\n")
+
+
 class TestMomentumCommand:
     def test_stdout_csv(self, capsys):
         code, out, _ = run_cli(

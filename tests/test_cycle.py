@@ -123,6 +123,29 @@ def test_mode_tolerance_band():
     assert r.mode == "Heater"
 
 
+@pytest.mark.parametrize("machine, model, point, expected", [
+    # A Heater whose COP q_c / w would overflow, were it divided.
+    ("electric", "classical",
+     CyclePoint(1.1106654538327617e-280, 8.86154088148822e+284, 7.87666716683177e-55, 7.648390389704979e-101),
+     (-4.43077044074411e+284, 3.938333583415885e-55, 4.43077044074411e+284)),
+    # (lambda_h - lambda_c)^2 is past the float range.
+    ("magnetic", "classical",
+     CyclePoint(-1.1409850730689828e+75, -2.1295144028473246e+238, 2.578779131769612e+165, 1.331416682637247e-165),
+     (-math.inf, -math.inf, math.inf)),
+    # The ground-state term of ln Z, ~ lambda^2 / tau, is past the float range.
+    ("magnetic", "quantum",
+     CyclePoint(2.6910846283415545e+152, 3.5118360326908686e+64, 4.501101428869694e-193, 1.6997799798749412e-247),
+     (-3.6209682384481013e+304, -3.6209682384481013e+304, 7.241936476896203e+304)),
+    # Every log-weight but the ground state's is -inf at a subnormal tau.
+    ("magnetic", "quantum", CyclePoint(0.3, 0.2, 1e-320, 1e-320), (0.0, 0.0, 0.0)),
+], ids=["electric COP", "classical magnetic W", "quantum magnetic ln Z", "subnormal tau"])
+def test_overflow_edges_warn_not(machine, model, point, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = evaluate_point(machine, model, point)
+    assert (r.q_c, r.q_h, r.w, r.mode, r.efficiency, r.cop) == (*expected, MODE_HEATER, None, None)
+
+
 # The whole domain the API accepts, but the quantum electric machine, whose
 # pendulum solves are too slow to draw by the hundred: |lambda| up to 1e300
 # (electric lambda >= 0) and tau_c <= tau_h from the smallest subnormal to
@@ -148,15 +171,17 @@ def _domain_points(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_domain_points())
 def test_whole_domain(case):
-    """A report or DomainError/ConvergenceError, and no warning; a report keeps the first
-    law where its heats are finite, a mode that matches their signs, and the classical
-    magnetic no-go theorem."""
+    """A report, or the quantum magnetic window's ConvergenceError, and no warning; a
+    report keeps the first law where its heats are finite, a mode that matches their
+    signs, and the classical magnetic no-go theorem.  Every point is valid, so even a
+    DomainError fails: one from the Carnot check would hide a wrong efficiency."""
     machine, model, point = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             r = evaluate_point(machine, model, point)
-        except (DomainError, ConvergenceError):
+        except ConvergenceError as exc:  # tau above about 8.8e11
+            assert model == "quantum" and "momentum window too wide" in str(exc)
             return
     if all(math.isfinite(x) for x in (r.q_c, r.q_h, r.w)):
         assert abs(r.w + r.q_c + r.q_h) <= 1e-12 * max(abs(r.q_c), abs(r.q_h), abs(r.w)) + 1e-300

@@ -261,6 +261,30 @@ class TestLeanReports:
             tracemalloc.stop()
         assert held / len(cells) < 400
 
+    def test_mode_arrays_hold_the_constants(self, tmp_path):
+        # 8 bytes per cell: references to the three mode names, not a string array.
+        grid = run_sweep(SweepSpec((0.0, 0.5, 9), (0.01, 2.0, 7), 0.485, 0.001, "magnetic", "quantum"))
+        write_json(grid, tmp_path / "grid.json")
+        for g in (grid, read_json(tmp_path / "grid.json")):
+            assert g.mode.dtype == object and g.mode.shape == (7, 9)
+            assert all(any(m is mode for mode in (MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER))
+                       for m in g.mode.flat)
+            assert {*g.mode.flat} == {MODE_ENGINE, MODE_REFRIGERATOR, MODE_HEATER}
+
+    def test_sweep_holds_under_56_bytes_per_cell(self):
+        # Six float or reference arrays are 48 bytes per cell; classify_modes
+        # makes no grid-sized string array, so the peak stays below 96.
+        spec = SweepSpec((0.0, 0.5, 200), (0.01, 2.0, 200), 0.485, 0.001, "magnetic", "quantum")
+        run_sweep(spec)
+        tracemalloc.start()
+        try:
+            grid = run_sweep(spec)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.w.size == 40000
+        assert held / grid.w.size <= 56 and peak / grid.w.size <= 96
+
 
 class TestMomentumCurve:
     def test_all_curves_pass_through_half_half(self):
