@@ -117,11 +117,10 @@ def heats(hh, hc, ch, cc):
 def classify_modes(q_c, q_h, w, tau_h, tau_c):
     """Mode, efficiency and COP arrays of cycles with heats q_c, q_h and work w.
 
-    q_c, q_h and w share one shape, with which tau_h and tau_c broadcast.
-    mode is an object array of the MODE_* constants themselves.  Efficiency
-    and COP are divided only on the cells that report them, and are NaN
-    elsewhere; a refrigerator with W = 0 has COP +inf.
-    Raises DomainError on NaN heat, on a simultaneous engine+refrigerator
+    q_c, q_h and w share one shape, with which tau_h and tau_c broadcast; mode
+    holds the MODE_* constants themselves.  Efficiency and COP are divided only
+    where reported, NaN elsewhere (a COP at W = 0 is +inf).  Raises
+    DomainError on NaN heat, on a simultaneous engine+refrigerator
     classification (second-law violation under full thermalization), and on
     an engine efficiency beyond the Carnot bound.
     """

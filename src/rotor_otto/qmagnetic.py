@@ -84,7 +84,7 @@ def momentum_moments(lam, tau):
     taus = [validate_temperature(t) for t in tau.ravel().tolist()]
     lam = np.asarray(lam, dtype=float)
     validate_control(np.max(np.abs(lam), initial=0.0))
-    # A width past the cap is taken as inf, the width near the float maximum, which has no ceil.
+    # A width at or past the cap counts as inf, which it is near the float maximum, where ceil overflows.
     widths = (math.sqrt(2.0 * t * _WINDOW_NATS) for t in taus)
     halves = [math.ceil(width) + 1 if width < _WINDOW_MAX_HALFWIDTH else math.inf for width in widths]
     rows_of_half: dict[int, list[int]] = {}

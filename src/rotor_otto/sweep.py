@@ -100,9 +100,9 @@ class SweepGrid:
     """Evaluated sweep: arrays of shape (n_tau, n_lambda), tau rows and lambda columns.
 
     Entry [i_tau, i_lambda] belongs to (lambda_axis[i_lambda], tau_axis[i_tau]);
-    an absent efficiency or COP is NaN.  mode is an object array of the
-    cycle.MODE_* constants themselves, 8 bytes per cell.  cell() and cells build CycleReports
-    from the arrays and the spec's axes on each call.
+    an absent efficiency or COP is NaN; mode holds the cycle.MODE_* constants
+    themselves, 8 bytes per cell.  cell() and cells build CycleReports from
+    the arrays and the spec's axes on each call.
     """
 
     spec: SweepSpec

@@ -84,16 +84,6 @@ def test_ab_document_from_stored_lines():
     assert trace["qelectric.cache_hits"] == {"unit": "count", "better": "higher", "parent": 0, "change": 0}
 
 
-def test_ab_document_without_traced_runs():
-    # The A/B files written before `ab` traced a pair hold neither traced runs nor a trace table.
-    doc = ab_document()
-    doc["runs"] = [run for run in doc["runs"] if not run["trace"]]
-    doc["seeds"].remove(100)
-    for key in ("trace", "per_layer"):
-        doc.pop(key)
-    bench.check_document(doc)
-
-
 def test_gain_needs_nine_pairs_in_ten():
     doc = ab_document()
     for run in doc["runs"][:4]:  # the change loses the first two pairs
