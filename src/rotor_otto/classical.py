@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cycle import heats
 from .specfun import bessel_ratio_i1_i0
 from .units import validate_control
 
@@ -33,14 +32,17 @@ def classical_cycle_electric(lam_h, tau_h, lam_c: float, tau_c: float):
     """(Q_c, Q_h, W) of the classical electric machine on the lam_h x tau_h grid.
 
     The kernel contract of cycle.py; negative lambda raises DomainError.  One
-    Bessel ratio per stroke serves both of its quartet entries.
+    Bessel ratio r_j = I1/I0(x_j) per stroke serves both of its quartet
+    entries and W = (lambda_h - lambda_c)(r_h - r_c)/2.
     """
     validate_control(min(lam_h.min(), lam_c), require_nonnegative=True)
     m, lam, tau = _mean_energy_electric, lam_h[None, :], tau_h[:, None]
     with np.errstate(over="ignore"):  # an x past the float range is capped: i1e/i0e is 1.0 there, as I1/I0 -> 1
         x_h, x_c = lam / (2.0 * tau), lam_c / (2.0 * tau_c)
     r_h, r_c = (bessel_ratio_i1_i0(np.minimum(x, np.finfo(float).max)) for x in (x_h, x_c))
-    return heats(m(lam, r_h, tau), m(lam_h, r_c, tau_c), m(lam_c, r_h, tau), m(lam_c, r_c, tau_c))
+    w = 0.5 * (lam - lam_c) * (r_h - r_c)  # -(Q_c + Q_h), its tau/2 terms cancelled
+    w += 0.0
+    return m(lam_c, r_c, tau_c) - m(lam_c, r_h, tau), m(lam, r_h, tau) - m(lam_h, r_c, tau_c), w
 
 
 def classical_cycle_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):

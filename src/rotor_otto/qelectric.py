@@ -43,7 +43,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cycle import heats
 from .units import ConvergenceError, DomainError, validate_control, validate_temperature
 
 _INITIAL_CUTOFF = 32
@@ -222,10 +221,13 @@ def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float):
     pendulum_column_averages call over the tau_h axis, and the cold stroke
     one pendulum_stroke_averages call.  The quartet's cross entries use
     <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j, so an entry <H_i>_j is
-    within (1 + |lambda_i - lambda_j|) times stroke j's round-off bound.
+    within (1 + |lambda_i - lambda_j|) times stroke j's round-off bound, and
+    W = -(lambda_h - lambda_c)(<S>_h - <S>_c).
     """
     e_c, s_c, _ = pendulum_stroke_averages(lam_c, tau_c)
     e_h, s_h = np.array([pendulum_column_averages(lam, tau_h)[:2]
                          for lam in lam_h.tolist()]).transpose(1, 2, 0)
     dlam = lam_h - lam_c
-    return heats(e_h, e_c + dlam * s_c, e_h - dlam * s_h, e_c)
+    w = -dlam * (s_h - s_c)  # -(Q_c + Q_h), its <H>_j terms cancelled
+    w += 0.0
+    return e_c - (e_h - dlam * s_h), e_h - (e_c + dlam * s_c), w

@@ -62,6 +62,8 @@ class SweepSpec:
             for lam in (lams[0], self.lambda_c):
                 validate_control(lam, require_nonnegative=True)
         object.__setattr__(self, "_axes", (lams, taus))
+        # The axes as Python floats, one object per point, shared by the grid's reports.
+        object.__setattr__(self, "_axis_floats", (lams.tolist(), taus.tolist()))
 
     def lambda_axis(self) -> np.ndarray:
         return self._axes[0]
@@ -102,7 +104,8 @@ class SweepGrid:
     Entry [i_tau, i_lambda] belongs to (lambda_axis[i_lambda], tau_axis[i_tau]);
     an absent efficiency or COP is NaN; mode holds the cycle.MODE_* constants
     themselves, 8 bytes per cell.  cell() and cells build CycleReports from
-    the arrays and the spec's axes on each call.
+    the arrays and the spec's axes on each call: the reports of a tau_h row
+    share one tau_h float, those of a lambda_h column one lambda_h float.
     """
 
     spec: SweepSpec
@@ -116,20 +119,21 @@ class SweepGrid:
     boundary_fridge: list[list[tuple[float, float]]] = field(default_factory=list)
 
     def cell(self, i_lambda: int, i_tau: int) -> CycleReport:
-        return self._report(self.spec.lambda_axis()[i_lambda], self.spec.tau_axis()[i_tau],
-                            (i_tau, i_lambda))
+        lams, taus = self.spec._axis_floats
+        return self._report(lams[i_lambda], taus[i_tau], (i_tau, i_lambda))
 
     @property
     def cells(self) -> list[CycleReport]:
         """Reports of every cell in row-major order (tau rows, lambda columns)."""
-        lams, taus = self.spec.lambda_axis(), self.spec.tau_axis()
+        lams, taus = self.spec._axis_floats
         return [self._report(lam, tau, (j, i))
                 for j, tau in enumerate(taus) for i, lam in enumerate(lams)]
 
-    def _report(self, lam_h, tau_h, index) -> CycleReport:
+    def _report(self, lam_h: float, tau_h: float, index) -> CycleReport:
+        # item() gives Python floats and the mode constants: no numpy scalar per entry.
         spec = self.spec
         point = CyclePoint(lam_h, spec.lambda_c, tau_h, spec.tau_c)
-        entries = (a[index] for a in (self.q_c, self.q_h, self.w, self.mode, self.efficiency, self.cop))
+        entries = (a.item(index) for a in (self.q_c, self.q_h, self.w, self.mode, self.efficiency, self.cop))
         return assemble_cycle(spec.machine, spec.model, point, *entries)
 
 

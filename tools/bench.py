@@ -18,8 +18,9 @@ at the root of the checkout, n the next free integer.
   alternating which side runs first.  Then it runs both sides traced
   (--trace 1) once per workload, on one fresh seed that they share.  The
   file holds, per workload and end-to-end metric, the per-pair values and
-  winners, the medians, and the parent's quartiles; and per workload and
-  per-layer metric, the traced runs' values side by side.
+  winners, the medians, the quartiles, and the median and quartiles of the
+  per-pair ratio change/parent; and per workload and per-layer metric, the
+  traced runs' values side by side.
 
 The file holds the commit (and whether tracked files differ from it), the
 seeds, and each run's environment and result lines as the benchmark printed
@@ -45,6 +46,8 @@ PAIRS = 10
 SIDES = ("parent", "change")
 BUILD_DIR = ".bench_build"
 RUN_KEYS = {"side", "workload", "seed", "trace", "env", "result"}
+# compare's fields that files written before the paired ratios lack.
+RATIO_KEYS = ("ratio_median", "ratio_quartiles")
 
 
 class BenchError(Exception):
@@ -96,7 +99,9 @@ def compare(runs: list[dict], end_to_end: list[dict]) -> dict:
     bound, a share.  spread_exceeds_bound: the parent's interquartile
     distance, as a share of its median, is larger than that bound, and not
     every change run is better than every parent run, so the metric is
-    unresolved.
+    unresolved.  ratio_median and ratio_quartiles summarize the pairs' ratios
+    change/parent (pairs whose parent value is 0 have none); they are
+    reported only, and no verdict reads them.
     """
     values: dict = {}
     for run in runs:
@@ -120,6 +125,7 @@ def compare(runs: list[dict], end_to_end: list[dict]) -> dict:
             parent, change = [x[1] for x in pairs], [x[2] for x in pairs]
             p_med, c_med = statistics.median(parent), statistics.median(change)
             p_q = quartiles(parent)
+            ratios = [c / p for _, p, c, _ in pairs if p != 0]
             wins = {side: sum(x[3] == side for x in pairs) for side in ("change", "parent", "tie")}
             gain = c_med - p_med if not lower else p_med - c_med
             apart = max(change) < min(parent) if lower else min(change) > max(parent)
@@ -128,6 +134,8 @@ def compare(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "pairs": pairs, "wins": wins,
                 "parent_median": p_med, "change_median": c_med,
                 "parent_quartiles": p_q, "change_quartiles": quartiles(change),
+                "ratio_median": statistics.median(ratios) if ratios else None,
+                "ratio_quartiles": quartiles(ratios) if ratios else None,
                 "gain": (len(pairs) >= PAIRS and 10 * wins["change"] >= 9 * len(pairs)
                          and gain > p_q[1] - p_q[0]),
                 "within_bound": -gain <= m["bound"] * abs(p_med),
@@ -157,14 +165,17 @@ def layers(runs: list[dict], per_layer: list[dict]) -> dict:
 
 
 def summary(table: dict) -> list[str]:
-    """One line per workload and metric of compare's table; an unresolved metric gets no bound verdict."""
+    """One line per workload and metric of compare's table, paired ratio included; an
+    unresolved metric gets no bound verdict."""
     lines = []
     for workload, by_metric in table.items():
         for name, s in by_metric.items():
             verdict = "unresolved" if s["spread_exceeds_bound"] else f"within bound {s['within_bound']}"
+            ratio = ("none" if s["ratio_median"] is None else
+                     f"{s['ratio_median']:.4g} [{s['ratio_quartiles'][0]:.4g}, {s['ratio_quartiles'][1]:.4g}]")
             lines.append(f"{workload:15} {name:12} parent {s['parent_median']:.4g} "
                          f"[{s['parent_quartiles'][0]:.4g}, {s['parent_quartiles'][1]:.4g}]  "
-                         f"change {s['change_median']:.4g}  change wins {s['wins']['change']}/"
+                         f"change {s['change_median']:.4g}  ratio {ratio}  change wins {s['wins']['change']}/"
                          f"{len(s['pairs'])}  gain {s['gain']}  {verdict}")
     return lines
 
@@ -203,8 +214,12 @@ def _check(doc: dict) -> None:
     if doc["mode"] == "ab":
         need(isinstance(doc.get("parent"), str) and re.fullmatch(r"[0-9a-f]{40}", doc["parent"]) is not None,
              "parent is not a full git hash")
-        need(doc.get("ab") == compare(doc["runs"], doc["end_to_end"]),
-             "ab is not the comparison of the runs")
+        # Files written before the paired ratios hold compare's table without them.
+        table = compare(doc["runs"], doc["end_to_end"])
+        before_ratios = {workload: {name: {k: v for k, v in s.items() if k not in RATIO_KEYS}
+                                    for name, s in by_metric.items()}
+                         for workload, by_metric in table.items()}
+        need(doc.get("ab") in (table, before_ratios), "ab is not the comparison of the runs")
         # Files written before the traced pairs hold neither traced runs nor a trace table.
         need(doc.get("trace", {}) == layers(doc["runs"], doc.get("per_layer", [])),
              "trace is not the per-layer metrics of the traced runs")
