@@ -4,10 +4,16 @@ Each machine/model kernel takes a sweep's two axes and its cold stroke,
     kernel(lam_h[n_lam], tau_h[n_tau], lam_c, tau_c) -> (Q_c, Q_h, W),
     Q_c = <H_c>_c - <H_c>_h,   Q_h = <H_h>_h - <H_h>_c,   W = -(Q_c + Q_h),
 each of shape (n_tau, n_lam), entry [i_tau, i_lam] at (lam_h[i_lam],
-tau_h[i_tau]); one cycle is the 1x1 case.  A zero W is +0.0, never -0.0:
-a negation or product can give -0.0, as -(Q_c + Q_h) does where the heats
-sum to +0.0, so each kernel adds 0.0 to W.  That leaves every other value,
-NaN and inf too, as it is.
+tau_h[i_tau]); one cycle is the 1x1 case.  The heats each hold about
+(tau_h - tau_c)/2, so no kernel sums them for W: each takes W from a form in
+which the tau terms have cancelled, with d = lambda_h - lambda_c,
+    classical electric:  W = d (r_h - r_c)/2,  r_j = I1/I0(lambda_j/(2 tau_j)),
+    quantum electric:    W = -d (<S>_h - <S>_c),  S = sin^2(alpha/2),
+    classical magnetic:  W = d^2,
+    quantum magnetic:    W = d (mu_h - mu_c + D)  (qmagnetic.cycle_heats_magnetic).
+A zero W is +0.0, never -0.0: a product or negation can give -0.0, as
+-d (<S>_h - <S>_c) does at d = 0, so each kernel adds 0.0 to W.  That leaves
+every other value, NaN and inf too, as it is.
 Every cell must be a valid cycle point (see CyclePoint); no term grows as
 lambda^2 (the magnetic kernels cancel them algebraically).  Here the results
 are classified, elementwise:
@@ -105,7 +111,8 @@ def check_tags(machine: str, model: str) -> None:
 def heats(hh, hc, ch, cc):
     """(Q_c, Q_h, W) from the mean-energy quartet entries <H_i>_j, elementwise.
 
-    For the electric machines, whose entries grow only as lambda.
+    W = -(Q_c + Q_h), the first law: the form of the oracles, whose quartets
+    come from other routes; the kernels form W without the heats' tau terms.
     """
     q_c = cc - ch
     q_h = hh - hc

@@ -13,6 +13,8 @@ No route calls ``rotor_otto``; only its ConvergenceError type is shared:
 - ``potential_average_mp`` integrates the classical pendulum's angular
   average <sin^2(alpha/2)> at 30 significant digits (mpmath.quad), with the
   interval split at the peak of the integrand;
+- ``classical_electric_work_mp`` gives the classical electric machine's W
+  in closed form from mpmath's Bessel functions at 40 significant digits;
 - ``epsilon_fourier`` sums the Fourier series of the magnetic rotor's
   momentum deviation epsilon, the dual of the production Boltzmann sum;
 - ``classical_engine_condition_electric`` and
@@ -162,6 +164,22 @@ def epsilon_fourier(lam: float, tau: float) -> float:
             return total
         total += (-1.0) ** n * coef * math.sin(2.0 * math.pi * n * lam)
     raise ConvergenceError(f"Fourier series of epsilon not converged in {EPSILON_TERMS} terms at tau={tau}")
+
+
+def classical_electric_work_mp(lam_h: float, lam_c: float, tau_h: float, tau_c: float):
+    """W = (lambda_h - lambda_c)(r_h - r_c)/2, r_j = I1/I0(lambda_j/(2 tau_j)), as an mpmath number.
+
+    The float inputs are taken exactly; the ratio is formed from mpmath's
+    besseli, so it keeps its digits at any argument.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        def ratio(lam, tau):
+            x = mpmath.mpf(lam) / (2 * mpmath.mpf(tau))
+            return mpmath.besseli(1, x) / mpmath.besseli(0, x)
+
+        return (mpmath.mpf(lam_h) - mpmath.mpf(lam_c)) * (ratio(lam_h, tau_h) - ratio(lam_c, tau_c)) / 2
 
 
 def classical_engine_condition_electric(point) -> bool:

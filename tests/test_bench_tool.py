@@ -6,6 +6,7 @@ import importlib.util
 import json
 import pathlib
 import shutil
+import statistics
 import subprocess
 
 import pytest
@@ -77,6 +78,14 @@ def test_ab_document_from_stored_lines():
     assert rss["parent_median"] - rss["change_median"] == pytest.approx(1.2)
     wall = doc["ab"]["point_queries"]["wall_s"]
     assert wall["wins"]["tie"] == 10 and not wall["gain"] and wall["within_bound"]
+    # The per-pair ratios change/parent, reported beside the verdicts.
+    ratios = [(69.3 + 0.01 * seed - 1.2) / (69.3 + 0.01 * seed) for seed in range(10)]
+    assert rss["ratio_median"] == pytest.approx(statistics.median(ratios))
+    assert rss["ratio_quartiles"] == pytest.approx(bench.quartiles(ratios))
+    assert rss["ratio_quartiles"][0] < rss["ratio_median"] < rss["ratio_quartiles"][1] < 1.0
+    assert (wall["ratio_median"], wall["ratio_quartiles"]) == (1.0, [1.0, 1.0])
+    line = [x for x in bench.summary(doc["ab"]) if "peak_rss_mb" in x]
+    assert len(line) == 1 and f"ratio {rss['ratio_median']:.4g} [{rss['ratio_quartiles'][0]:.4g}, " in line[0]
     # The traced pair's per-layer metrics, side by side; the untraced runs have none.
     trace = doc["trace"]["point_queries"]
     assert list(trace) == ["trace.wall_s", "sweep.cells", "sweep.write_csv_pct", "qelectric.cache_hits"]
@@ -117,6 +126,29 @@ def test_wide_spread_is_unresolved_unless_the_sides_are_apart():
     assert len(line) == 1 and line[0].endswith("unresolved") and "within bound" not in line[0]
 
 
+def test_ratios_skip_a_zero_parent():
+    table = bench.compare(ab_document(rss=lambda side, seed: 0.0 if side == "parent" else 1.0)["runs"],
+                          END_TO_END)
+    rss = table["point_queries"]["peak_rss_mb"]
+    assert rss["ratio_median"] is None and rss["ratio_quartiles"] is None
+    assert "ratio none" in [x for x in bench.summary(table) if "peak_rss_mb" in x][0]
+
+
+def test_document_written_before_the_ratios_passes():
+    # BENCH files written before the paired ratios hold compare's table without
+    # them; a table that lacks them in one entry only is damaged.
+    doc = ab_document()
+    for by_metric in doc["ab"].values():
+        for s in by_metric.values():
+            for key in bench.RATIO_KEYS:
+                del s[key]
+    bench.check_document(doc)
+    doc = ab_document()
+    del doc["ab"]["point_queries"]["wall_s"]["ratio_median"]
+    with pytest.raises(ValueError):
+        bench.check_document(doc)
+
+
 def test_record_document_from_stored_lines(tmp_path):
     run = dict(stored_run("tree", 5, 67.9), trace=1)
     doc = {"schema": bench.SCHEMA, "mode": "record", "commit": COMMIT, "dirty": True, "seconds": 40,
@@ -140,6 +172,8 @@ def test_record_document_from_stored_lines(tmp_path):
     lambda d: d.pop("trace"),
     lambda d: d["runs"].pop(0),
     lambda d: d["runs"][-1].update(seed=0, env=d["runs"][0]["env"]),
+    lambda d: d["ab"]["point_queries"]["peak_rss_mb"].update(ratio_median=0.5),
+    lambda d: d["ab"]["point_queries"]["peak_rss_mb"]["ratio_quartiles"].reverse(),
 ])
 def test_damaged_document_rejected(damage):
     doc = copy.deepcopy(ab_document())

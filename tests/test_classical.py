@@ -10,7 +10,12 @@ from rotor_otto.specfun import bessel_ratio_i1_i0
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint
 
-from oracles import classical_engine_condition_electric, classical_fridge_condition_electric, potential_average_mp
+from oracles import (
+    classical_electric_work_mp,
+    classical_engine_condition_electric,
+    classical_fridge_condition_electric,
+    potential_average_mp,
+)
 
 
 def ratio(lam, tau):
@@ -140,6 +145,16 @@ class TestElectricCycle:
         report = evaluate_point("electric", "classical", p)
         assert report.mode == "Engine"
         assert report.w < 0.0
+
+    @pytest.mark.parametrize("tau_h", [10.0 ** k for k in range(0, 301, 15)])
+    def test_work_keeps_its_digits_at_any_tau_h(self, tau_h):
+        # The heats hold tau_h/2 each, so -(Q_c + Q_h) would lose log10(tau_h/|W|)
+        # digits; W from the Bessel ratios keeps them, and the Engine its mode.
+        pytest.importorskip("mpmath")
+        report = evaluate_point("electric", "classical", CyclePoint(0.3, 0.2, tau_h, 0.1))
+        expected = float(classical_electric_work_mp(0.3, 0.2, tau_h, 0.1))
+        assert report.w == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert report.mode == "Engine"
 
     def test_first_law_exact(self):
         rng = np.random.default_rng(13)

@@ -85,6 +85,15 @@ class TestCycleCommand:
         report = json.loads(out)
         assert (report["q_c"], report["q_h"], report["w"], report["mode"]) == (0.0, 0.0, 0.0, "Heater")
 
+    def test_electric_engine_at_huge_tau_h(self, capsys):
+        # The heats are +-5e14 here; W, from the Bessel ratios, keeps its digits.
+        code, out, _ = run_cli(["cycle", "--machine", "electric", "--model", "classical", "--lambda-h", "0.3",
+                                "--lambda-c", "0.2", "--tau-h", "1e15", "--tau-c", "0.1"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["mode"] == "Engine"
+        assert report["w"] == pytest.approx(-0.0223195, rel=1e-6)
+
     @pytest.mark.parametrize("machine", ["electric", "magnetic"])
     @pytest.mark.parametrize("model", ["classical", "quantum"])
     def test_equal_lambdas_print_unsigned_zero_work(self, machine, model, capsys):

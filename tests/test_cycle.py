@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import pytest
@@ -15,7 +16,9 @@ from rotor_otto.cycle import (
     classify_modes,
     heats,
 )
+from rotor_otto.qelectric import pendulum_stroke_averages
 from rotor_otto.selftest import classical_electric_mean_energy_quadrature
+from rotor_otto.specfun import bessel_ratio_i1_i0
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
 
@@ -192,3 +195,35 @@ def test_whole_domain(case):
     assert (r.efficiency is not None, r.cop is not None) == (mode == MODE_ENGINE, mode == MODE_REFRIGERATOR)
     if (machine, model) == ("magnetic", "classical"):
         assert r.mode is MODE_HEATER and r.w >= 0.0
+
+
+# Both electric machines: lambda >= 0, and tau_h up to 1e300 in the classical
+# model; the pendulum's solve grows with tau, so the quantum model stays at
+# tau <= 1e3, which is still where the heats' tau/2 terms exceed W by 1e3.
+@st.composite
+def _electric_points(draw):
+    model = draw(st.sampled_from(["classical", "quantum"]))
+    top_lam, top_tau = (6.0, 300.0) if model == "classical" else (1.3, 3.0)
+    lam_h, lam_c = (draw(st.one_of(st.just(0.0), st.floats(-3.0, top_lam).map(lambda e: 10.0 ** e)))
+                    for _ in range(2))
+    tau_c, tau_h = sorted(draw(st.floats(-2.0, top_tau).map(lambda e: 10.0 ** e)) for _ in range(2))
+    return model, CyclePoint(lam_h, lam_c, tau_h, tau_c)
+
+
+def _potential_average(model, lam, tau):
+    """<S>, S = sin^2(alpha/2), of one stroke: (1 - I1/I0(lambda/2tau))/2 classically, else the pendulum's."""
+    if model == "quantum":
+        return pendulum_stroke_averages(lam, tau)[1]
+    return 0.5 * (1.0 - float(bessel_ratio_i1_i0(min(lam / (2.0 * tau), sys.float_info.max))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_electric_points())
+def test_electric_work_from_the_potential_averages(case):
+    """Q_c + Q_h = (lambda_h - lambda_c)(<S>_h - <S>_c): the strokes' tau/2 and
+    <H_j>_j cancel, so W is that product to a few ulps of its lambda factor, at any tau."""
+    model, p = case
+    r = evaluate_point("electric", model, p)
+    s_h, s_c = (_potential_average(model, lam, tau) for lam, tau in ((p.lambda_h, p.tau_h), (p.lambda_c, p.tau_c)))
+    d = p.lambda_h - p.lambda_c
+    assert abs(r.w - -d * (s_h - s_c)) <= 4.0 * sys.float_info.epsilon * abs(d)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rotor_otto.qmagnetic import (
     cycle_heats_magnetic,
@@ -285,3 +288,40 @@ class TestOptimalWorkScan:
         assert (point.lambda_c, point.tau_c) == (lam_c, tau_c)
         skipped = cycle_heats_magnetic(np.linspace(*lam_range), np.array([tau_c / 3]), lam_c, tau_c)[2]
         assert skipped.min() < w_min
+
+
+class TestSymmetryProperties:
+    """The spectrum m(m - 2 lambda)/2 is relabeled, m -> m + n, by lambda -> lambda + n for an
+    integer n, and mirrored, m -> -m, by lambda -> -lambda."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(lam_h=st.floats(-3.0, 3.0), lam_c=st.floats(-3.0, 3.0), shift=st.integers(-50, 50),
+           taus=st.lists(st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e), min_size=2, max_size=2))
+    def test_cycle_invariant_under_a_common_integer_shift(self, lam_h, lam_c, shift, taus):
+        # Both strokes shift their spectra by the same n: the quartet's
+        # energy differences, and so the heats and work, do not change.  The
+        # shifted lambdas are rounded, which moves f = lambda - round(lambda)
+        # by ~1e-14, and the moments by at most that over tau.
+        tau_c, tau_h = sorted(taus)
+        base = evaluate_point("magnetic", "quantum", CyclePoint(lam_h, lam_c, tau_h, tau_c))
+        shifted = evaluate_point("magnetic", "quantum", CyclePoint(lam_h + shift, lam_c + shift, tau_h, tau_c))
+        for key in ("q_c", "q_h", "w"):
+            assert getattr(shifted, key) == pytest.approx(getattr(base, key), rel=1e-10, abs=1e-10)
+
+    @staticmethod
+    def epsilon(lam, tau):
+        """epsilon = <L_z> - lambda = mu - f, f = lambda - round(lambda)."""
+        return momentum_moments(lam, tau)[0] - (lam - np.round(lam))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(lams=arrays(float, st.integers(1, 20), elements=st.floats(-5.0, 5.0)),
+           tau=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e))
+    def test_epsilon_is_odd(self, lams, tau):
+        assert np.abs(self.epsilon(-lams, tau) + self.epsilon(lams, tau)).max() <= 1e-10
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(lams=arrays(float, st.integers(1, 20), elements=st.floats(-5.0, 5.0)),
+           tau=st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e))
+    def test_epsilon_has_period_one(self, lams, tau):
+        # lams + 1 is rounded, by ~1e-15; epsilon's slope is at most ~1/(4 tau).
+        assert np.abs(self.epsilon(lams + 1.0, tau) - self.epsilon(lams, tau)).max() <= 1e-10

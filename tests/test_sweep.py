@@ -261,6 +261,33 @@ class TestLeanReports:
             tracemalloc.stop()
         assert held / len(cells) < 400
 
+    def test_cells_hold_under_280_bytes_per_report(self):
+        # Built from the spec's axis floats and item(): a report's own floats
+        # are its heats, work and figures of merit, and no numpy scalar is kept.
+        grid = run_sweep(SweepSpec((0.0, 0.5, 200), (0.01, 2.0, 200), 0.485, 0.001, "magnetic", "quantum"))
+        grid.cells
+        tracemalloc.start()
+        try:
+            cells = grid.cells
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 40000 and held / len(cells) <= 280
+
+    def test_reports_share_the_axis_floats(self, tmp_path):
+        # The reports of a tau_h row share one tau_h float, those of a lambda_h column one lambda_h float.
+        grid = run_sweep(SweepSpec((0.0, 0.5, 5), (0.01, 2.0, 4), 0.485, 0.001, "magnetic", "quantum"))
+        write_json(grid, tmp_path / "grid.json")
+        for g in (grid, read_json(tmp_path / "grid.json")):
+            cells = g.cells
+            for i in range(5):
+                for j in range(4):
+                    point = g.cell(i, j).point
+                    assert point.tau_h is g.cell(0, j).point.tau_h is cells[5 * j].point.tau_h
+                    assert point.lambda_h is g.cell(i, 0).point.lambda_h is cells[i].point.lambda_h
+                    assert type(point.lambda_h) is float and type(point.tau_h) is float
+            assert cells[7].point.tau_h is not cells[2].point.tau_h
+
     def test_mode_arrays_hold_the_constants(self, tmp_path):
         # 8 bytes per cell: references to the three mode names, not a string array.
         grid = run_sweep(SweepSpec((0.0, 0.5, 9), (0.01, 2.0, 7), 0.485, 0.001, "magnetic", "quantum"))
