@@ -109,18 +109,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_momentum(args) -> int:
-    rows = sweep.momentum_curve(
-        (args.lambda_min, args.lambda_max, args.lambda_count), args.tau
-    )
-    fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    rows = sweep.momentum_curve((args.lambda_min, args.lambda_max, args.lambda_count), args.tau)
+
+    def emit(fh):
         writer = csv.writer(fh)
         writer.writerow(["lambda", "tau", "mean_lz", "epsilon"])
-        for lam, tau, lz, eps in rows:
-            writer.writerow([repr(lam), repr(tau), repr(lz), repr(eps)])
-    finally:
-        if args.out:
-            fh.close()
+        for row in rows:
+            writer.writerow([repr(x) for x in row])
+
+    if args.out:  # as a sweep's file: removed again if writing it fails
+        sweep._write(args.out, "CSV", emit)
+    else:
+        emit(sys.stdout)
     return EXIT_OK
 
 

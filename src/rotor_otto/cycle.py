@@ -108,19 +108,6 @@ def check_tags(machine: str, model: str) -> None:
         raise DomainError(f"unknown model {model!r}")
 
 
-def heats(hh, hc, ch, cc):
-    """(Q_c, Q_h, W) from the mean-energy quartet entries <H_i>_j, elementwise.
-
-    W = -(Q_c + Q_h), the first law: the form of the oracles, whose quartets
-    come from other routes; the kernels form W without the heats' tau terms.
-    """
-    q_c = cc - ch
-    q_h = hh - hc
-    w = -(q_c + q_h)
-    w += 0.0  # in place: no grid-sized temporary
-    return q_c, q_h, w
-
-
 def classify_modes(q_c, q_h, w, tau_h, tau_c):
     """Mode, efficiency and COP arrays of cycles with heats q_c, q_h and work w.
 

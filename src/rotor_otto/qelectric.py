@@ -55,15 +55,6 @@ _SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
-class TridiagonalHamiltonian:
-    """Pendulum Hamiltonian at cutoff M (units of E): a parity block, or the full m = -M..M matrix."""
-
-    diag: np.ndarray      # m^2/2 + lambda/2
-    offdiag: np.ndarray   # -lambda/4; -sqrt(2) lambda/4 first in the even block
-    cutoff_m: int
-
-
-@dataclass(frozen=True)
 class SpectralData:
     """Truncated spectrum of a pendulum Hamiltonian at fixed lambda."""
 
@@ -72,32 +63,32 @@ class SpectralData:
     cutoff_m: int
 
 
-def eigensolve_sym_tridiagonal(h: TridiagonalHamiltonian) -> SpectralData:
-    """All eigenvalues, ascending, and orthonormal eigenvectors of h.
+def eigensolve_sym_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, cutoff_m: int) -> SpectralData:
+    """All eigenvalues, ascending, and orthonormal eigenvectors of the matrix (diag, offdiag).
 
+    cutoff_m, the basis cutoff M the matrix was built at, is only recorded.
     LAPACK dstevd (divide and conquer), the driver scipy.linalg.eigh_tridiagonal
     selects for a full spectrum, called directly: at the cutoffs most strokes
     certify at (M = 32, 64) that wrapper's argument checks add 15-30% to a solve.
     """
     import scipy.linalg.lapack
 
-    if not (np.isfinite(h.diag).all() and np.isfinite(h.offdiag).all()):
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise DomainError("tridiagonal Hamiltonian has non-finite entries")
-    vals, vecs, info = scipy.linalg.lapack.dstevd(h.diag, h.offdiag)
+    vals, vecs, info = scipy.linalg.lapack.dstevd(diag, offdiag)
     if info != 0:
         raise ConvergenceError(f"tridiagonal eigensolve failed: LAPACK dstevd info={info}")
-    return SpectralData(eigenvalues=vals, eigenvectors=vecs, cutoff_m=h.cutoff_m)
+    return SpectralData(eigenvalues=vals, eigenvectors=vecs, cutoff_m=cutoff_m)
 
 
-def _parity_blocks(lam: float, cutoff: int) -> tuple[TridiagonalHamiltonian, TridiagonalHamiltonian]:
-    """Even (m = 0..cutoff) and odd (m = 1..cutoff) blocks of H(lambda) at cutoff."""
+def _parity_blocks(lam: float, cutoff: int):
+    """(diag, offdiag) of the even (m = 0..cutoff) and of the odd (m = 1..cutoff) block of H(lambda)."""
     m = np.arange(cutoff + 1, dtype=float)
     diag = 0.5 * m * m + 0.5 * lam
     offdiag = np.full(cutoff, -0.25 * lam)
     even_offdiag = offdiag.copy()
     even_offdiag[0] *= _SQRT2
-    return (TridiagonalHamiltonian(diag=diag, offdiag=even_offdiag, cutoff_m=cutoff),
-            TridiagonalHamiltonian(diag=diag[1:], offdiag=offdiag[1:], cutoff_m=cutoff))
+    return (diag, even_offdiag), (diag[1:], offdiag[1:])
 
 
 def _free_rotor_tail(cutoff: int, taus: np.ndarray, e0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,13 +114,13 @@ def _free_rotor_tail(cutoff: int, taus: np.ndarray, e0: float) -> tuple[np.ndarr
     return mass, energy
 
 
-def _block_levels(lam: float, h: TridiagonalHamiltonian, even: bool) -> np.ndarray:
-    """Rows E_n, <n|S|n> and residual r_n of the levels of one parity block.
+def _block_levels(lam: float, block, cutoff: int, even: bool) -> np.ndarray:
+    """Rows E_n, <n|S|n> and residual r_n of the levels of one parity block (diag, offdiag).
 
     The block's eigenvectors are dropped on return, before the caller
     solves the other block.
     """
-    spectrum = eigensolve_sym_tridiagonal(h)
+    spectrum = eigensolve_sym_tridiagonal(*block, cutoff)
     v = spectrum.eigenvectors
     # <n|S|n> = 1/2 - (1/2) sum_k c_k v_k v_{k+1} for S = H'(lambda) (diag 1/2,
     # offdiag -1/4), with c_0 = sqrt(2) in the even block and c_k = 1 otherwise.
@@ -153,7 +144,7 @@ def _column_at(lam: float, taus: np.ndarray, cutoff: int) -> tuple[np.ndarray, n
     the same residual plus the tail's weight.
     """
     even, odd = _parity_blocks(lam, cutoff)
-    levels = np.concatenate((_block_levels(lam, even, True), _block_levels(lam, odd, False)), axis=1)
+    levels = np.hstack((_block_levels(lam, even, cutoff, True), _block_levels(lam, odd, cutoff, False)))
     energies = levels[0]
     # Boltzmann weights relative to the ground state (avoids underflow).
     w = np.exp(-(energies - energies[0]) / np.maximum(taus, _GROUND_STATE_TAU)[:, None])

@@ -7,7 +7,9 @@ the magnetic partition function vs the direct momentum sums, phase-space
 quadrature vs the classical electric kernel's Bessel closed form, a dense
 eigensolver vs the tridiagonal one, and a finite-difference
 Hellmann-Feynman derivative of ln Z vs the pendulum's potential average.
-The quadrature, dense and ln Z oracles are also reused by the test suite.
+The quadrature check takes W by the first law, -(Q_c + Q_h), from a quartet
+of stroke averages (heats), a form no kernel uses.  The quadrature, dense,
+ln Z and first-law oracles are also reused by the test suite.
 
 The phase-space quadrature is the periodic trapezoid rule in alpha: the
 integrand is periodic and analytic, so the rule converges geometrically in
@@ -25,11 +27,23 @@ import sys
 import numpy as np
 
 from . import classical, qelectric, qmagnetic
-from .cycle import heats
 from .units import ConvergenceError, DomainError, validate_control, validate_temperature
 
 # Node counts of the trapezoid rule stop doubling past this (8 MB per array).
 _MAX_NODES = 1 << 20
+
+
+def heats(hh, hc, ch, cc):
+    """(Q_c, Q_h, W) from the mean-energy quartet entries <H_i>_j, elementwise.
+
+    W = -(Q_c + Q_h), the first law: the form of the oracles, whose quartets
+    come from other routes; the kernels form W without the heats' tau terms.
+    """
+    q_c = cc - ch
+    q_h = hh - hc
+    w = -(q_c + q_h)
+    w += 0.0  # in place: no grid-sized temporary
+    return q_c, q_h, w
 
 
 def _potential_average_quadrature(x: float) -> float:
@@ -103,22 +117,19 @@ def quantum_partition_magnetic_theta(lam: float, tau: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * tau) + lam * lam / (2.0 * tau) + math.log(theta)
 
 
-def build_pendulum_hamiltonian(lam: float, cutoff_m: int) -> qelectric.TridiagonalHamiltonian:
-    """The full tridiagonal matrix of H(lambda) truncated at |m| <= cutoff_m."""
+def build_pendulum_hamiltonian(lam: float, cutoff_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, offdiag) of the full tridiagonal matrix of H(lambda) truncated at |m| <= cutoff_m."""
     lam = validate_control(lam, require_nonnegative=True)
     if cutoff_m < 1:
         raise DomainError(f"cutoff_m must be >= 1, got {cutoff_m}")
     m = np.arange(-cutoff_m, cutoff_m + 1, dtype=float)
-    return qelectric.TridiagonalHamiltonian(
-        diag=0.5 * m * m + 0.5 * lam, offdiag=np.full(2 * cutoff_m, -0.25 * lam), cutoff_m=cutoff_m
-    )
+    return 0.5 * m * m + 0.5 * lam, np.full(2 * cutoff_m, -0.25 * lam)
 
 
 def dense_pendulum_eigenvalues(lam: float, cutoff_m: int) -> np.ndarray:
     """Brute-force dense diagonalization of the pendulum matrix."""
-    h = build_pendulum_hamiltonian(lam, cutoff_m)
-    dense = np.diag(h.diag) + np.diag(h.offdiag, 1) + np.diag(h.offdiag, -1)
-    return np.linalg.eigvalsh(dense)
+    diag, offdiag = build_pendulum_hamiltonian(lam, cutoff_m)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1))
 
 
 def log_partition_pendulum(lam: float, tau: float, cutoff_m: int) -> float:
@@ -157,7 +168,7 @@ def check_dense_vs_tridiagonal(rng: np.random.Generator) -> float:
     err = 0.0
     for _ in range(5):
         lam, cutoff = rng.uniform(0.0, 20.0), int(rng.integers(8, 64))
-        spec = qelectric.eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff))
+        spec = qelectric.eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(lam, cutoff), cutoff)
         dense = dense_pendulum_eigenvalues(lam, cutoff)
         err = max(err, float(np.abs(spec.eigenvalues - dense).max()))
     return err

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,29 +72,12 @@ class SweepSpec:
         return self._axes[1]
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_h_range": list(self.lambda_h_range),
-            "tau_h_range": list(self.tau_h_range),
-            "lambda_c": self.lambda_c,
-            "tau_c": self.tau_c,
-            "machine": self.machine,
-            "model": self.model,
-            "lambda_scale": self.lambda_scale,
-            "tau_scale": self.tau_scale,
-        }
+        """The fields by name, the two ranges (the tuples) as lists, as JSON writes them."""
+        return {f.name: list(v) if type(v := getattr(self, f.name)) is tuple else v for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        return cls(
-            lambda_h_range=tuple(d["lambda_h_range"]),
-            tau_h_range=tuple(d["tau_h_range"]),
-            lambda_c=d["lambda_c"],
-            tau_c=d["tau_c"],
-            machine=d["machine"],
-            model=d["model"],
-            lambda_scale=d["lambda_scale"],
-            tau_scale=d["tau_scale"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass(eq=False)

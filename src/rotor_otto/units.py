@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -106,9 +106,4 @@ class CyclePoint:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_h": self.lambda_h,
-            "lambda_c": self.lambda_c,
-            "tau_h": self.tau_h,
-            "tau_c": self.tau_c,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -330,7 +330,7 @@ def test_criterion_7_quantum_electric_correctness():
     for _ in range(20):
         lam = rng.uniform(0.0, 20.0)
         cutoff = int(rng.integers(8, 129))
-        spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff))
+        spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(lam, cutoff), cutoff)
         dense = dense_pendulum_eigenvalues(lam, cutoff)
         max_eig_err = max(max_eig_err, float(np.abs(spec.eigenvalues - dense).max()))
     ok = max_eig_err < 1e-10
@@ -346,7 +346,7 @@ def test_criterion_7_quantum_electric_correctness():
         max_hf_err = max(max_hf_err, abs(s_avg - fd))
     ok &= max_hf_err < 1e-6
     # (c) harmonic limit at lambda = 400
-    spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(400.0, 64))
+    spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(400.0, 64), 64)
     gap = spec.eigenvalues[1] - spec.eigenvalues[0]
     ok &= abs(gap - np.sqrt(200.0)) < 0.01 * np.sqrt(200.0)
     # (d) correspondence limit

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rotor_otto.classical import classical_cycle_electric, classical_cycle_magnetic
-from rotor_otto.cycle import heats
-from rotor_otto.selftest import classical_electric_mean_energy_quadrature
+from rotor_otto.selftest import classical_electric_mean_energy_quadrature, heats
 from rotor_otto.specfun import bessel_ratio_i1_i0
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import CyclePoint

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -189,7 +190,32 @@ class TestUnwritableOutput:
         )
         assert code == 2
         assert stdout == ""
-        assert err.startswith("error: ") and str(out) in err
+        assert err.splitlines()[-1].startswith(f"error: failed writing CSV to {out}")
+
+    def test_momentum_failing_partway_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "m.csv"
+
+        class FailingWriter:
+            """csv.writer whose third row fails, as on a full disk."""
+
+            def __init__(self, fh):
+                self.writer, self.rows = csv_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writer.writerow(row)
+
+        csv_writer = cli.csv.writer
+        monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+        code, stdout, err = run_cli(
+            ["momentum", "--lambda-min", "0", "--lambda-max", "1", "--tau", "0.5", "--out", str(out)],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -426,4 +452,6 @@ class TestBenchmarkBindings:
             "program.sweep.evaluate_point('electric', 'quantum', program.units.CyclePoint(3.0, 1.0, 4.0, 1.0))\n"
             "solves = tracer.totals()['qelectric.eigensolve_sym_tridiagonal'][0]\n"
             "print(stroke_cache.cache_info().misses, solves > 0)\n"
-        ) == ["1", "True"]
+            # The tracer reads each solve's cutoff_m and eigenvalues.
+            "print(tracer.counts['qelectric.max_cutoff'] >= 32, tracer.counts['qelectric.basis_states'] > 0)\n"
+        ) == ["1", "True", "True", "True"]

@@ -14,10 +14,9 @@ from rotor_otto.cycle import (
     MODE_TOL,
     assemble_cycle,
     classify_modes,
-    heats,
 )
 from rotor_otto.qelectric import pendulum_stroke_averages
-from rotor_otto.selftest import classical_electric_mean_energy_quadrature
+from rotor_otto.selftest import classical_electric_mean_energy_quadrature, heats
 from rotor_otto.specfun import bessel_ratio_i1_i0
 from rotor_otto.sweep import evaluate_point
 from rotor_otto.units import ConvergenceError, CyclePoint, DomainError

@@ -6,7 +6,6 @@ import pytest
 
 from rotor_otto import qelectric
 from rotor_otto.qelectric import (
-    TridiagonalHamiltonian,
     eigensolve_sym_tridiagonal,
     pendulum_column_averages,
     pendulum_stroke_averages,
@@ -25,14 +24,14 @@ from oracles import dense_heats_electric
 
 class TestHamiltonianBuilder:
     def test_free_rotor(self):
-        h = build_pendulum_hamiltonian(0.0, 2)
-        assert np.allclose(h.diag, [2.0, 0.5, 0.0, 0.5, 2.0])
-        assert np.allclose(h.offdiag, [0.0, 0.0, 0.0, 0.0])
+        diag, offdiag = build_pendulum_hamiltonian(0.0, 2)
+        assert np.allclose(diag, [2.0, 0.5, 0.0, 0.5, 2.0])
+        assert np.allclose(offdiag, [0.0, 0.0, 0.0, 0.0])
 
     def test_unit_coupling(self):
-        h = build_pendulum_hamiltonian(1.0, 1)
-        assert np.allclose(h.diag, [1.0, 0.5, 1.0])
-        assert np.allclose(h.offdiag, [-0.25, -0.25])
+        diag, offdiag = build_pendulum_hamiltonian(1.0, 1)
+        assert np.allclose(diag, [1.0, 0.5, 1.0])
+        assert np.allclose(offdiag, [-0.25, -0.25])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(DomainError):
@@ -42,25 +41,21 @@ class TestHamiltonianBuilder:
 class TestEigensolver:
     def test_two_by_two_closed_form(self):
         a, b, c = 1.3, -0.4, 0.7
-        h = TridiagonalHamiltonian(diag=np.array([a, b]), offdiag=np.array([c]), cutoff_m=1)
-        spec = eigensolve_sym_tridiagonal(h)
+        spec = eigensolve_sym_tridiagonal(np.array([a, b]), np.array([c]), 1)
         disc = math.sqrt((a - b) ** 2 / 4 + c * c)
         assert spec.eigenvalues[0] == pytest.approx((a + b) / 2 - disc, abs=1e-14)
         assert spec.eigenvalues[1] == pytest.approx((a + b) / 2 + disc, abs=1e-14)
 
     def test_non_finite_entries_rejected(self):
-        h = TridiagonalHamiltonian(
-            diag=np.array([1.0, np.nan, 2.0]), offdiag=np.array([0.1, 0.2]), cutoff_m=1
-        )
         with pytest.raises(DomainError):
-            eigensolve_sym_tridiagonal(h)
+            eigensolve_sym_tridiagonal(np.array([1.0, np.nan, 2.0]), np.array([0.1, 0.2]), 1)
 
     def test_free_rotor_degeneracies(self):
-        spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(0.0, 3))
+        spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(0.0, 3), 3)
         assert np.allclose(spec.eigenvalues, [0.0, 0.5, 0.5, 2.0, 2.0, 4.5, 4.5])
 
     def test_dense_oracle(self):
-        spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(1.0, 60))
+        spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(1.0, 60), 60)
         dense = dense_pendulum_eigenvalues(1.0, 60)
         assert abs(spec.eigenvalues[0] - dense[0]) < 1e-10
 
@@ -69,29 +64,29 @@ class TestEigensolver:
         for _ in range(10):
             lam = rng.uniform(0.0, 20.0)
             cutoff = int(rng.integers(4, 48))
-            spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff))
+            spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(lam, cutoff), cutoff)
             dense = dense_pendulum_eigenvalues(lam, cutoff)
             assert np.abs(spec.eigenvalues - dense).max() < 1e-10
 
     def test_eigenvector_orthonormality(self):
-        v = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(2.0, 30)).eigenvectors
+        v = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(2.0, 30), 30).eigenvectors
         assert np.abs(v.T @ v - np.eye(v.shape[1])).max() < 1e-10
 
     def test_sorted_within_tolerance(self):
-        spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(3.0, 40))
+        spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(3.0, 40), 40)
         diffs = np.diff(spec.eigenvalues)
         assert (diffs > -1e-12).all()
 
     def test_variational_monotonicity_in_cutoff(self):
         for lam in (1.0, 4.0):
-            small = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, 16)).eigenvalues
-            large = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, 32)).eigenvalues
+            small = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(lam, 16), 16).eigenvalues
+            large = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(lam, 32), 32).eigenvalues
             assert (small >= large[: len(small)] - 1e-12).all()
 
     def test_harmonic_ladder_spacing(self):
         # lambda >> 1: bottom of the spectrum looks like a harmonic
         # oscillator with level spacing sqrt(lambda/2)
-        spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(400.0, 64))
+        spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(400.0, 64), 64)
         gap = spec.eigenvalues[1] - spec.eigenvalues[0]
         assert gap == pytest.approx(math.sqrt(200.0), rel=0.01)
 
@@ -106,7 +101,7 @@ class TestStrokeAverages:
     def test_ground_state_clamp(self):
         lam = 2.0
         e_avg, _, _ = pendulum_stroke_averages(lam, 1e-8)
-        ground = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, 64)).eigenvalues[0]
+        ground = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(lam, 64), 64).eigenvalues[0]
         assert e_avg == pytest.approx(ground, abs=1e-10)
 
     def test_hellmann_feynman_cross_oracle(self):
@@ -149,8 +144,8 @@ class TestStrokeAverages:
 def _parity_block_levels(lam, cutoff):
     """(energies, <n|S|n>, |v_n[M]|) of the even block (m = 0..cutoff), then the odd block (m = 1..cutoff)."""
     energies, s_diag, last = [], [], []
-    for h, c0 in zip(qelectric._parity_blocks(lam, cutoff), (math.sqrt(2.0), 1.0)):
-        spec = eigensolve_sym_tridiagonal(h)
+    for block, c0 in zip(qelectric._parity_blocks(lam, cutoff), (math.sqrt(2.0), 1.0)):
+        spec = eigensolve_sym_tridiagonal(*block, cutoff)
         v = spec.eigenvectors
         energies.append(spec.eigenvalues)
         s_diag.append(np.einsum("kn,kn->n", v[:-1, :], v[1:, :]) + (c0 - 1.0) * v[0] * v[1])
@@ -186,7 +181,7 @@ def _per_tau_reference(lam, tau):
 
 def _full_matrix_column(lam, taus, cutoff):
     """(<H>, <S>) rows at each tau from the full (2M + 1) matrix at cutoff M."""
-    spec = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, cutoff))
+    spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(lam, cutoff), cutoff)
     energies, v = spec.eigenvalues, spec.eigenvectors
     s_diag = 0.5 - 0.5 * np.einsum("kn,kn->n", v[:-1, :], v[1:, :])
     rows = []
@@ -235,7 +230,7 @@ class TestColumnAverages:
         # block holds a_2n, the odd block b_2n+2.
         from scipy.special import mathieu_a, mathieu_b
 
-        even, odd = (eigensolve_sym_tridiagonal(h) for h in qelectric._parity_blocks(lam, 64))
+        even, odd = (eigensolve_sym_tridiagonal(*block, 64) for block in qelectric._parity_blocks(lam, 64))
         n = np.arange(5)
         assert np.abs(even.eigenvalues[:5] - (mathieu_a(2 * n, 2 * lam) + 4 * lam) / 8).max() < 1e-12
         assert np.abs(odd.eigenvalues[:5] - (mathieu_b(2 * n + 2, 2 * lam) + 4 * lam) / 8).max() < 1e-12
@@ -247,7 +242,7 @@ class TestColumnAverages:
         for avg in (e_avg, s_avg):
             assert abs(avg[at] - avg[below]) <= 1e-12
             assert abs(avg[above] - avg[at]) <= 1e-12
-        ground = eigensolve_sym_tridiagonal(build_pendulum_hamiltonian(lam, 64)).eigenvalues[0]
+        ground = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(lam, 64), 64).eigenvalues[0]
         assert e_avg[below] == pytest.approx(ground, abs=1e-10)
 
     def test_tail_bound_guards_what_the_residual_misses(self):
@@ -276,9 +271,9 @@ class TestColumnAverages:
         # block is solved, so one stroke holds one block's vectors at a time.
         vectors, live_at_solve = [], []
 
-        def spying(h):
+        def spying(diag, offdiag, cutoff_m):
             live_at_solve.append(sum(ref() is not None for ref in vectors))
-            spectrum = eigensolve_sym_tridiagonal(h)
+            spectrum = eigensolve_sym_tridiagonal(diag, offdiag, cutoff_m)
             vectors.append(weakref.ref(spectrum.eigenvectors))
             return spectrum
 
@@ -294,9 +289,9 @@ class TestColumnAverages:
         # takes at least four per cell.
         calls = []
 
-        def counting(h):
-            calls.append(h.cutoff_m)
-            return eigensolve_sym_tridiagonal(h)
+        def counting(diag, offdiag, cutoff_m):
+            calls.append(cutoff_m)
+            return eigensolve_sym_tridiagonal(diag, offdiag, cutoff_m)
 
         monkeypatch.setattr(qelectric, "eigensolve_sym_tridiagonal", counting)
         pendulum_stroke_averages.cache_clear()

@@ -608,6 +608,18 @@ class TestSerialization:
                              r.q_c, r.q_h, r.w, r.mode, r.efficiency, r.cop])
         assert path.read_bytes() == expected.getvalue().encode()
 
+    @pytest.mark.parametrize("key", ["lambda_h_range", "tau_h_range", "lambda_c", "tau_c", "machine", "model",
+                                     "lambda_scale", "tau_scale"])
+    def test_spec_without_a_key_rejected_with_path(self, key, tmp_path):
+        # Scales too: a file names every field of the spec, defaults included.
+        path = tmp_path / "grid.json"
+        write_json(run_sweep(small_spec(lambda_h_range=(1.0, 4.0, 3), tau_h_range=(1.0, 3.0, 3))), path)
+        doc = json.loads(path.read_text())
+        del doc["spec"][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=re.escape(f"{path} holds no sweep grid: KeyError: '{key}'")):
+            read_json(path)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["cells"].pop(), "cannot reshape array of size 8 into shape (3,3)"),
         (lambda doc: doc["cells"][4].pop("w"), "KeyError: 'w'"),
