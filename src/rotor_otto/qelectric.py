@@ -32,12 +32,18 @@ tail has a closed form.  Both bounds are held to the stroke's own round-off,
 so a stroke's averages are a function of (lambda, tau) alone.  M starts at
 the first cutoff of the ladder 32 * 2^k where that tail can be below it, and
 a tau whose bounds fail is solved again at twice the cutoff.
-scipy.linalg.lapack is imported by the first solve, so a process that runs
-no pendulum never loads it.
+The first solve loads scipy's f2py LAPACK extension, scipy.linalg._flapack,
+by itself: not the scipy.linalg package, whose __init__ imports some 300
+modules to reach the same routine.  A process that runs no pendulum loads
+neither.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,6 +69,33 @@ class SpectralData:
     cutoff_m: int
 
 
+@lru_cache(maxsize=None)
+def _flapack():
+    """scipy.linalg._flapack, the module that scipy.linalg.lapack takes its routines from.
+
+    The one already in sys.modules if the caller has imported scipy.linalg;
+    otherwise loaded from scipy's linalg directory after `import scipy`, which
+    sets up the paths of the libraries a wheel bundles.  It is registered
+    under its own name, so a later `import scipy.linalg` reuses this module.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    paths = [os.path.join(directory, "_flapack" + suffix) for suffix in suffixes]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        raise ImportError(f"no LAPACK extension _flapack in {directory} (tried suffixes {suffixes})")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def eigensolve_sym_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, cutoff_m: int) -> SpectralData:
     """All eigenvalues, ascending, and orthonormal eigenvectors of the matrix (diag, offdiag).
 
@@ -70,12 +103,15 @@ def eigensolve_sym_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, cutoff_m: 
     LAPACK dstevd (divide and conquer), the driver scipy.linalg.eigh_tridiagonal
     selects for a full spectrum, called directly: at the cutoffs most strokes
     certify at (M = 32, 64) that wrapper's argument checks add 15-30% to a solve.
+    It is the function object scipy.linalg.lapack.dstevd names, taken from
+    scipy's extension module without importing the scipy.linalg package
+    (_flapack).
     """
-    import scipy.linalg.lapack
+    dstevd = _flapack().dstevd
 
     if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise DomainError("tridiagonal Hamiltonian has non-finite entries")
-    vals, vecs, info = scipy.linalg.lapack.dstevd(diag, offdiag)
+    vals, vecs, info = dstevd(diag, offdiag)
     if info != 0:
         raise ConvergenceError(f"tridiagonal eigensolve failed: LAPACK dstevd info={info}")
     return SpectralData(eigenvalues=vals, eigenvectors=vecs, cutoff_m=cutoff_m)

@@ -20,6 +20,7 @@ from rotor_otto.sweep import SweepSpec, evaluate_point, run_sweep
 from rotor_otto.units import ConvergenceError, CyclePoint, DomainError
 
 from oracles import dense_heats_electric
+from test_cli import fresh_interpreter
 
 
 class TestHamiltonianBuilder:
@@ -89,6 +90,61 @@ class TestEigensolver:
         spec = eigensolve_sym_tridiagonal(*build_pendulum_hamiltonian(400.0, 64), 64)
         gap = spec.eigenvalues[1] - spec.eigenvalues[0]
         assert gap == pytest.approx(math.sqrt(200.0), rel=0.01)
+
+
+class TestLapackLoader:
+    """The pendulum's dstevd comes from scipy.linalg._flapack, loaded without the scipy.linalg package.
+
+    Each case runs in a fresh interpreter, where no scipy module is loaded
+    yet: a scipy that renames or moves the extension fails here.
+    """
+
+    def test_bit_identical_to_scipy_linalg_lapack(self):
+        assert fresh_interpreter(
+            "import sys\n"
+            "import numpy as np\n"
+            "from rotor_otto import qelectric\n"
+            "solved = []\n"
+            "for lam, cutoff in [(0.0, 3), (5.0, 32), (862.0, 64), (1.0, 128)]:\n"
+            "    for block in qelectric._parity_blocks(lam, cutoff):\n"
+            "        spectrum = qelectric.eigensolve_sym_tridiagonal(*block, cutoff)\n"
+            "        solved.append((block, spectrum.eigenvalues, spectrum.eigenvectors))\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
+            "import scipy.linalg.lapack\n"
+            "print(scipy.linalg.lapack.dstevd is qelectric._flapack().dstevd,\n"
+            "      sys.modules['scipy.linalg._flapack'] is qelectric._flapack())\n"
+            "for block, vals, vecs in solved:\n"
+            "    ref_vals, ref_vecs, info = scipy.linalg.lapack.dstevd(*block)\n"
+            "    print(info == 0 and np.array_equal(vals.view(np.int64), ref_vals.view(np.int64))\n"
+            "          and np.array_equal(vecs.view(np.int64), ref_vecs.view(np.int64)))\n"
+        ) == ["False", "True", "True", "True"] + ["True"] * 8
+
+    def test_reuses_the_module_of_an_imported_scipy_linalg(self, tmp_path):
+        # With scipy.__file__ pointing at an empty directory, only the module
+        # already in sys.modules can serve the solve.
+        assert fresh_interpreter(
+            "import os, sys\n"
+            "import numpy as np\n"
+            "import scipy.linalg\n"
+            "from rotor_otto import qelectric\n"
+            f"scipy.__file__ = os.path.join({str(tmp_path)!r}, '__init__.py')\n"
+            "qelectric.eigensolve_sym_tridiagonal(np.array([1.0, 2.0]), np.array([0.5]), 1)\n"
+            "print(qelectric._flapack() is sys.modules['scipy.linalg._flapack'] is scipy.linalg.lapack._flapack)\n"
+        ) == ["True"]
+
+    def test_missing_extension_raises_import_error_naming_the_directory(self, tmp_path):
+        assert fresh_interpreter(
+            "import os, sys\n"
+            "import numpy as np\n"
+            "import scipy\n"
+            "from rotor_otto import qelectric\n"
+            f"scipy.__file__ = os.path.join({str(tmp_path)!r}, '__init__.py')\n"
+            "try:\n"
+            "    qelectric.eigensolve_sym_tridiagonal(np.array([1.0, 2.0]), np.array([0.5]), 1)\n"
+            "except ImportError as exc:\n"
+            f"    print(os.path.join({str(tmp_path)!r}, 'linalg') in str(exc))\n"
+            "print('scipy.linalg._flapack' in sys.modules)\n"
+        ) == ["True", "False"]
 
 
 class TestStrokeAverages:
