@@ -3,17 +3,17 @@
 Subcommands: cycle, sweep, momentum, optimum, selftest.  Reduced units
 only.  stdout carries data, stderr diagnostics.  Exit codes: 0 success,
 1 selftest failure, 2 usage error (an unwritable --out included),
-3 numerical/convergence failure.
+3 numerical/convergence failure.  Each subparser names its handler, which
+calls the library through its module attributes; JSON floats are written by
+cycle.json_float (inf as 1e999), files by sweep's writers.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
-from . import qmagnetic, selftest, sweep
+from . import cycle, qmagnetic, selftest, sweep
 from .units import ConvergenceError, CyclePoint, DomainError
 
 EXIT_OK = 0
@@ -27,6 +27,24 @@ def _add_machine_model(parser):
     parser.add_argument("--model", required=True, choices=["classical", "quantum"])
 
 
+def _add_strokes(parser, *strokes):
+    """--lambda-<s> for each stroke s, then --tau-<s>: each stroke's control and temperature."""
+    for name in ("lambda", "tau"):
+        for stroke in strokes:
+            parser.add_argument(f"--{name}-{stroke}", type=float, required=True)
+
+
+def _add_axis(parser, name, count):
+    """--<name>-min, --<name>-max and --<name>-count: a grid axis (min, max, count)."""
+    parser.add_argument(f"--{name}-min", type=float, required=True)
+    parser.add_argument(f"--{name}-max", type=float, required=True)
+    parser.add_argument(f"--{name}-count", type=int, default=count)
+
+
+def _axis(args, name):
+    return tuple(getattr(args, f"{name}_{end}") for end in ("min", "max", "count"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotor-otto",
@@ -35,47 +53,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cycle = sub.add_parser("cycle", help="evaluate a single cycle, JSON to stdout")
+    p_cycle.set_defaults(run=_cmd_cycle)
     _add_machine_model(p_cycle)
-    p_cycle.add_argument("--lambda-h", type=float, required=True, dest="lambda_h")
-    p_cycle.add_argument("--lambda-c", type=float, required=True, dest="lambda_c")
-    p_cycle.add_argument("--tau-h", type=float, required=True, dest="tau_h")
-    p_cycle.add_argument("--tau-c", type=float, required=True, dest="tau_c")
+    _add_strokes(p_cycle, "h", "c")
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over (lambda_h, tau_h)")
+    p_sweep.set_defaults(run=_cmd_sweep)
     _add_machine_model(p_sweep)
-    p_sweep.add_argument("--lambda-h-min", type=float, required=True)
-    p_sweep.add_argument("--lambda-h-max", type=float, required=True)
-    p_sweep.add_argument("--lambda-h-count", type=int, default=200)
-    p_sweep.add_argument("--tau-h-min", type=float, required=True)
-    p_sweep.add_argument("--tau-h-max", type=float, required=True)
-    p_sweep.add_argument("--tau-h-count", type=int, default=200)
+    _add_axis(p_sweep, "lambda-h", 200)
+    _add_axis(p_sweep, "tau-h", 200)
     p_sweep.add_argument("--lambda-scale", choices=["linear", "log"], default="linear")
     p_sweep.add_argument("--tau-scale", choices=["linear", "log"], default="linear")
-    p_sweep.add_argument("--lambda-c", type=float, required=True, dest="lambda_c")
-    p_sweep.add_argument("--tau-c", type=float, required=True, dest="tau_c")
+    _add_strokes(p_sweep, "c")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--format", required=True, choices=["csv", "json"])
 
     p_mom = sub.add_parser("momentum", help="thermal momentum curve, CSV")
-    p_mom.add_argument("--lambda-min", type=float, required=True)
-    p_mom.add_argument("--lambda-max", type=float, required=True)
-    p_mom.add_argument("--lambda-count", type=int, default=301)
+    p_mom.set_defaults(run=_cmd_momentum)
+    _add_axis(p_mom, "lambda", 301)
     p_mom.add_argument(
         "--tau", type=float, action="append", required=True, help="repeatable"
     )
     p_mom.add_argument("--out", default=None, help="default: stdout")
 
     p_opt = sub.add_parser("optimum", help="grid-minimize quantum magnetic work")
-    p_opt.add_argument("--lambda-c", type=float, required=True, dest="lambda_c")
-    p_opt.add_argument("--tau-c", type=float, required=True, dest="tau_c")
-    p_opt.add_argument("--lambda-h-min", type=float, required=True)
-    p_opt.add_argument("--lambda-h-max", type=float, required=True)
-    p_opt.add_argument("--lambda-h-count", type=int, default=201)
-    p_opt.add_argument("--tau-h-min", type=float, required=True)
-    p_opt.add_argument("--tau-h-max", type=float, required=True)
-    p_opt.add_argument("--tau-h-count", type=int, default=50)
+    p_opt.set_defaults(run=_cmd_optimum)
+    _add_strokes(p_opt, "c")
+    _add_axis(p_opt, "lambda-h", 201)
+    _add_axis(p_opt, "tau-h", 50)
 
     p_self = sub.add_parser("selftest", help="run oracle cross-checks")
+    p_self.set_defaults(run=_cmd_selftest)
     p_self.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -90,8 +98,8 @@ def _cmd_cycle(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = sweep.SweepSpec(
-        lambda_h_range=(args.lambda_h_min, args.lambda_h_max, args.lambda_h_count),
-        tau_h_range=(args.tau_h_min, args.tau_h_max, args.tau_h_count),
+        lambda_h_range=_axis(args, "lambda_h"),
+        tau_h_range=_axis(args, "tau_h"),
         lambda_c=args.lambda_c,
         tau_c=args.tau_c,
         machine=args.machine,
@@ -109,13 +117,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_momentum(args) -> int:
-    rows = sweep.momentum_curve((args.lambda_min, args.lambda_max, args.lambda_count), args.tau)
+    rows = sweep.momentum_curve(_axis(args, "lambda"), args.tau)
 
     def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "tau", "mean_lz", "epsilon"])
+        # The bytes of csv.writer: no float repr needs quoting.
+        fh.write("lambda,tau,mean_lz,epsilon\r\n")
         for row in rows:
-            writer.writerow([repr(x) for x in row])
+            fh.write(",".join(map(repr, row)) + "\r\n")
 
     if args.out:  # as a sweep's file: removed again if writing it fails
         sweep._write(args.out, "CSV", emit)
@@ -126,30 +134,21 @@ def _cmd_momentum(args) -> int:
 
 def _cmd_optimum(args) -> int:
     point, w_min = qmagnetic.optimal_work_scan(
-        args.lambda_c,
-        args.tau_c,
-        (args.lambda_h_min, args.lambda_h_max, args.lambda_h_count),
-        (args.tau_h_min, args.tau_h_max, args.tau_h_count),
+        args.lambda_c, args.tau_c, _axis(args, "lambda_h"), _axis(args, "tau_h")
     )
-    json.dump(point.to_dict() | {"w_min": w_min}, sys.stdout)
-    sys.stdout.write("\n")
+    fields = point.to_dict() | {"w_min": w_min}
+    sys.stdout.write("{" + ", ".join(f'"{key}": {cycle.json_float(x)}' for key, x in fields.items()) + "}\n")
     return EXIT_OK
+
+
+def _cmd_selftest(args) -> int:
+    return EXIT_OK if selftest.run_selftest(seed=args.seed) else EXIT_SELFTEST
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "cycle":
-            return _cmd_cycle(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "momentum":
-            return _cmd_momentum(args)
-        if args.command == "optimum":
-            return _cmd_optimum(args)
-        if args.command == "selftest":
-            ok = selftest.run_selftest(seed=args.seed)
-            return EXIT_OK if ok else EXIT_SELFTEST
+        return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -159,7 +158,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -375,7 +375,7 @@ def _check_cells(cells: list, spec: SweepSpec) -> None:
     """
     lams, taus = spec.lambda_axis().tolist(), spec.tau_axis().tolist()
     fixed = {"lambda_c": spec.lambda_c, "tau_c": spec.tau_c, "machine": spec.machine, "model": spec.model}
-    for k, cell in enumerate(cells):
+    for k, cell in enumerate(cells[: len(lams) * len(taus)]):  # a surplus cell fails read_json's reshape
         j, i = divmod(k, len(lams))
         for key, value in {"lambda_h": lams[i], "tau_h": taus[j], **fixed}.items():
             # A bool equals 0 or 1 but is no coordinate.
@@ -395,6 +395,7 @@ def read_json(path) -> SweepGrid:
         raise OSError(f"failed reading JSON from {path}: {exc}") from exc
     try:
         spec = SweepSpec.from_dict(doc["spec"])
+        _check_cells(doc["cells"], spec)
         shape = (spec.tau_h_range[2], spec.lambda_h_range[2])
 
         def column(key):
@@ -415,7 +416,6 @@ def read_json(path) -> SweepGrid:
             boundary_engine=[[tuple(p) for p in line] for line in doc["boundary_engine"]],
             boundary_fridge=[[tuple(p) for p in line] for line in doc["boundary_fridge"]],
         )
-        _check_cells(doc["cells"], spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{path} holds no sweep grid: {type(exc).__name__}: {exc}") from exc
     return grid

@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -195,20 +197,20 @@ class TestUnwritableOutput:
     def test_momentum_failing_partway_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "m.csv"
 
-        class FailingWriter:
-            """csv.writer whose third row fails, as on a full disk."""
+        class FullDisk(io.TextIOWrapper):
+            """A text file whose third write fails, as on a full disk."""
 
-            def __init__(self, fh):
-                self.writer, self.rows = csv_writer(fh), 0
+            writes = 0
 
-            def writerow(self, row):
-                self.rows += 1
-                if self.rows == 3:
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
                     raise OSError(errno.ENOSPC, "No space left on device")
-                self.writer.writerow(row)
+                return super().write(text)
 
-        csv_writer = cli.csv.writer
-        monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+        # sweep._write opens the file; its writes go through FullDisk.
+        monkeypatch.setattr(sweep, "open", lambda path, mode, newline: FullDisk(open(path, mode + "b"), newline=newline),
+                            raising=False)
         code, stdout, err = run_cli(
             ["momentum", "--lambda-min", "0", "--lambda-max", "1", "--tau", "0.5", "--out", str(out)],
             capsys,
@@ -339,6 +341,21 @@ class TestOptimumCommand:
         assert code == 0
         assert out.endswith('"w_min": 0.0}\n')
 
+    def test_infinite_minimum_is_strict_json(self, capsys):
+        # Every hot point's W is +inf at lambda_h ~ 1e300; the minimum is
+        # written 1e999, as cycle and the sweep files write an infinity.
+        code, out, _ = run_cli(
+            [
+                "optimum", "--lambda-c", "0.3", "--tau-c", "0.1",
+                "--lambda-h-min", "1e300", "--lambda-h-max", "1.5e300", "--lambda-h-count", "3",
+                "--tau-h-min", "1", "--tau-h-max", "2", "--tau-h-count", "2",
+            ],
+            capsys,
+        )
+        assert code == 0
+        result = json.loads(out, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
+        assert (result["lambda_h"], result["w_min"]) == (1e300, math.inf)
+
     def test_infinite_lambda_end_exits_2_without_warning(self, capsys):
         # The hot axis is checked as a sweep's is, before numpy sees inf - 0.2.
         with warnings.catch_warnings(record=True) as caught:
@@ -377,6 +394,57 @@ class TestSelftestCommand:
         assert code == 2
         assert out == ""
         assert "error: seed must be a non-negative integer, got -1" in err
+
+
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, False, None, None, "show this help message and exit")
+
+
+def required(flag, type=float, choices=None, help=None):
+    return (flag,), flag[2:].replace("-", "_"), None, True, choices, type, help
+
+
+def optional(flag, default, type=int, choices=None, help=None):
+    return (flag,), flag[2:].replace("-", "_"), default, False, choices, type, help
+
+
+# Each parser's options in -h order: (option strings, dest, default, required, choices, type, help).
+FLAG_CONTRACT = {
+    "rotor-otto": [HELP, ((), "command", None, True, ("cycle", "sweep", "momentum", "optimum", "selftest"), None, None)],
+    "cycle": [
+        HELP, required("--machine", None, ("electric", "magnetic")), required("--model", None, ("classical", "quantum")),
+        required("--lambda-h"), required("--lambda-c"), required("--tau-h"), required("--tau-c"),
+    ],
+    "sweep": [
+        HELP, required("--machine", None, ("electric", "magnetic")), required("--model", None, ("classical", "quantum")),
+        required("--lambda-h-min"), required("--lambda-h-max"), optional("--lambda-h-count", 200),
+        required("--tau-h-min"), required("--tau-h-max"), optional("--tau-h-count", 200),
+        optional("--lambda-scale", "linear", None, ("linear", "log")),
+        optional("--tau-scale", "linear", None, ("linear", "log")),
+        required("--lambda-c"), required("--tau-c"), required("--out", None), required("--format", None, ("csv", "json")),
+    ],
+    "momentum": [
+        HELP, required("--lambda-min"), required("--lambda-max"), optional("--lambda-count", 301),
+        required("--tau", help="repeatable"), optional("--out", None, None, help="default: stdout"),
+    ],
+    "optimum": [
+        HELP, required("--lambda-c"), required("--tau-c"),
+        required("--lambda-h-min"), required("--lambda-h-max"), optional("--lambda-h-count", 201),
+        required("--tau-h-min"), required("--tau-h-max"), optional("--tau-h-count", 50),
+    ],
+    "selftest": [HELP, optional("--seed", 0)],
+}
+
+
+class TestFlagContract:
+    def test_every_parser_keeps_its_options(self):
+        # The options that `rotor-otto -h` and each subcommand's -h list.
+        parser = cli._build_parser()
+        parsers = {"rotor-otto": parser, **parser._actions[1].choices}
+        assert {
+            name: [(tuple(a.option_strings), a.dest, a.default, a.required,
+                    None if a.choices is None else tuple(a.choices), a.type, a.help) for a in p._actions]
+            for name, p in parsers.items()
+        } == FLAG_CONTRACT
 
 
 HEAVY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.fft")

@@ -622,6 +622,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["cells"].pop(), "cannot reshape array of size 8 into shape (3,3)"),
+        (lambda doc: doc["cells"].append(doc["cells"][0]), "cannot reshape array of size 10 into shape (3,3)"),
         (lambda doc: doc["cells"][4].pop("w"), "KeyError: 'w'"),
         (lambda doc: doc["cells"][4].update(mode="Turbine"), "unknown mode 'Turbine'"),
         (lambda doc: doc["cells"][4].update(lambda_h=99.0), "cell 4: lambda_h is 99.0, the spec's is 2.5"),
@@ -630,12 +631,15 @@ class TestSerialization:
         (lambda doc: doc["cells"][1].update(tau_h=True), "cell 1: tau_h is True, the spec's is 1.0"),
         (lambda doc: doc["cells"][4].update(q_c="0.5"), "cell 4: q_c is '0.5', not a number"),
         (lambda doc: doc["cells"][8].update(cop="inf"), "cell 8: cop is 'inf', not a number"),
+        (lambda doc: doc["cells"][4].update(w="abc"), "cell 4: w is 'abc', not a number"),
+        (lambda doc: doc["cells"][4].update(w=[1]), "cell 4: w is [1], not a number"),
         (lambda doc: [d.update(tau_c=2.0) for d in [doc["spec"], *doc["cells"]]],
          "hot reservoir colder than cold one: tau_h=1.0 < tau_c=2.0"),
         (lambda doc: [d.update(lambda_c=-0.5) for d in [doc["spec"], *doc["cells"]]],
          "control parameter must be >= 0 here, got -0.5"),
-    ], ids=["too few cells", "missing key", "unknown mode", "foreign lambda_h", "foreign machine",
-            "bool tau_h", "string heat", "string cop", "tau_c above tau_h", "negative electric lambda_c"])
+    ], ids=["too few cells", "too many cells", "missing key", "unknown mode", "foreign lambda_h", "foreign machine",
+            "bool tau_h", "string heat", "string cop", "non-numeric string work", "list work", "tau_c above tau_h",
+            "negative electric lambda_c"])
     def test_malformed_json_rejected_with_path(self, edit, message, tmp_path):
         path = tmp_path / "grid.json"
         write_json(run_sweep(small_spec(lambda_h_range=(1.0, 4.0, 3), tau_h_range=(1.0, 3.0, 3))), path)
