@@ -1,10 +1,11 @@
 """Cycle reports: mode classification, efficiency, COP.
 
-Each machine/model kernel takes a sweep's two axes and its cold stroke,
-    kernel(lam_h[n_lam], tau_h[n_tau], lam_c, tau_c) -> (Q_c, Q_h, W),
+Each machine/model kernel is elementwise over the hot strokes of its cells,
+    kernel(lam_h, tau_h, lam_c, tau_c) -> (Q_c, Q_h, W),
     Q_c = <H_c>_c - <H_c>_h,   Q_h = <H_h>_h - <H_h>_c,   W = -(Q_c + Q_h),
-each of shape (n_tau, n_lam), entry [i_tau, i_lam] at (lam_h[i_lam],
-tau_h[i_tau]); one cycle is the 1x1 case.  The heats each hold about
+each of the broadcast shape of the numpy arrays lam_h and tau_h (0-d too),
+with the same bits whatever other cells share the call; a sweep lays out its
+(n_tau, n_lam) grid as lam_h[n_lam], tau_h[n_tau, 1].  The heats each hold about
 (tau_h - tau_c)/2, so no kernel sums them for W: each takes W from a form in
 which the tau terms have cancelled, with d = lambda_h - lambda_c,
     classical electric:  W = d (r_h - r_c)/2,  r_j = I1/I0(lambda_j/(2 tau_j)),

@@ -20,18 +20,18 @@ solves both blocks, one after the other, so it holds the eigenvectors of one
 block at a time: about a quarter of those of the full (2M + 1) matrix, which
 only the oracles of selftest build.
 
-The spectrum does not depend on tau: a sweep diagonalizes H(lambda) once per
-lambda_h column and per basis cutoff M, and forms the averages of every tau_h
-of that column from it; the cold stroke is solved once per sweep.  One solve
-usually certifies a tau on its own, by two bounds.  In the infinite operator
-a kept level n has the residual r_n = (lambda/4)|v_n[M]|, so a true level
-lies within r_n of it (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998).
-Since V = lambda sin^2(alpha/2) >= 0, min-max puts the levels above the
-cutoff at or above the free-rotor levels m^2/2, |m| > M, whose Boltzmann
-tail has a closed form.  Both bounds are held to the stroke's own round-off,
-so a stroke's averages are a function of (lambda, tau) alone.  M starts at
-the first cutoff of the ladder 32 * 2^k where that tail can be below it, and
-a tau whose bounds fail is solved again at twice the cutoff.
+The spectrum does not depend on tau: a kernel call diagonalizes H(lambda)
+once per distinct lambda_h and per basis cutoff M, and forms the averages of
+every tau_h paired with it from that spectrum; the cold stroke is solved once
+per call.  One solve usually certifies a tau on its own, by two bounds.  In
+the infinite operator a kept level n has the residual r_n = (lambda/4)|v_n[M]|,
+so a true level lies within r_n of it (Parlett, The Symmetric Eigenvalue
+Problem, SIAM 1998).  Since V = lambda sin^2(alpha/2) >= 0, min-max puts the
+levels above the cutoff at or above the free-rotor levels m^2/2, |m| > M,
+whose Boltzmann tail has a closed form.  Both bounds are held to the stroke's
+own round-off, so a stroke's averages are a function of (lambda, tau) alone.
+M starts at the first cutoff of the ladder 32 * 2^k where that tail can be
+below it, and a tau whose bounds fail is solved again at twice the cutoff.
 The first solve loads scipy's f2py LAPACK extension, scipy.linalg._flapack,
 by itself: not the scipy.linalg package, whose __init__ imports some 300
 modules to reach the same routine.  A process that runs no pendulum loads
@@ -75,8 +75,8 @@ def _flapack():
 
     The one already in sys.modules if the caller has imported scipy.linalg;
     otherwise loaded from scipy's linalg directory after `import scipy`, which
-    sets up the paths of the libraries a wheel bundles.  It is registered
-    under its own name, so a later `import scipy.linalg` reuses this module.
+    sets up the paths of the libraries a wheel bundles; its sys.modules entry is
+    dropped, so a later `import scipy.linalg` binds it as the package's attribute.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -92,7 +92,7 @@ def _flapack():
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    sys.modules.pop(name, None)
     return module
 
 
@@ -242,18 +242,21 @@ def pendulum_stroke_averages(lam: float, tau: float) -> tuple[float, float, int]
 
 
 def cycle_heats_electric(lam_h, tau_h, lam_c: float, tau_c: float):
-    """(Q_c, Q_h, W) of the quantum electric machine on the lam_h x tau_h grid.
+    """(Q_c, Q_h, W) of the quantum electric machine, elementwise over lam_h and tau_h.
 
-    The kernel contract of cycle.py.  Each lambda_h column is one
-    pendulum_column_averages call over the tau_h axis, and the cold stroke
-    one pendulum_stroke_averages call.  The quartet's cross entries use
+    The kernel contract of cycle.py.  Each distinct lambda_h is one
+    pendulum_column_averages call over the tau_h of its cells, and the cold
+    stroke one pendulum_stroke_averages call.  The quartet's cross entries use
     <H_i>_j = <H_j>_j + (lambda_i - lambda_j) <S>_j, so an entry <H_i>_j is
     within (1 + |lambda_i - lambda_j|) times stroke j's round-off bound, and
     W = -(lambda_h - lambda_c)(<S>_h - <S>_c).
     """
     e_c, s_c, _ = pendulum_stroke_averages(lam_c, tau_c)
-    e_h, s_h = np.array([pendulum_column_averages(lam, tau_h)[:2]
-                         for lam in lam_h.tolist()]).transpose(1, 2, 0)
+    lam_h, tau_h = np.broadcast_arrays(lam_h, tau_h)
+    e_h, s_h = np.empty(lam_h.shape), np.empty(lam_h.shape)
+    for lam in sorted(set(lam_h.ravel().tolist())):
+        cells = lam_h == lam
+        e_h[cells], s_h[cells], _ = pendulum_column_averages(lam, tau_h[cells])
     dlam = lam_h - lam_c
     w = -dlam * (s_h - s_c)  # -(Q_c + Q_h), its <H>_j terms cancelled
     w += 0.0

@@ -4,10 +4,10 @@ The Hamiltonian H(lambda) = L_z^2/2 - lambda L_z is diagonal in the
 angular-momentum basis with eigenvalues m(m - 2 lambda)/2, m integer.
 Every moment is the direct truncated Boltzmann sum over m, taken in the
 offset k = m - round(lambda) over a window set by tau alone
-(momentum_moments): a (tau, lambda) grid is summed in one pass, the taus
-that share a window together.  Its oracles live outside
-this module: the theta-function form of ln Z in selftest, the Fourier
-series of epsilon in the test suite.
+(momentum_moments): any set of (lambda, tau) cells, a grid or not, is
+summed in one call, the cells that share a window together.  Its oracles
+live outside this module: the theta-function form of ln Z in selftest, the
+Fourier series of epsilon in the test suite.
 
 epsilon(lambda, tau) = <L_z> - lambda is the genuinely quantum deviation of
 the thermal mean momentum from the classical value: bounded by 1/2, zero at
@@ -62,23 +62,22 @@ class MomentumStats:
 # ~ -lambda^2, is +-inf past |lambda| ~ 1e154; no heat uses log_z.
 @np.errstate(over="ignore")
 def momentum_moments(lam, tau):
-    """Gibbs moments of k = m - round(lambda), elementwise over lambda, at each tau.
+    """Gibbs moments of k = m - round(lambda), elementwise over lam and tau, which broadcast together.
 
-    Returns (mu, nu, log_z, terms): mu = <k>, nu = <k^2> and log_z = ln Z of
-    the direct sum over m, each of shape tau.shape + lam.shape (lam's shape
-    at one tau), and terms, of tau's shape, the number of terms summed per
-    lambda at each tau.  With f = lambda - round(lambda), the weight of
-    m = round(lambda) + k relative to that of round(lambda) is
+    Returns (mu, nu, log_z, terms), each of the broadcast shape: mu = <k>,
+    nu = <k^2> and log_z = ln Z of the direct sum over m, and terms, the
+    number of terms summed at each cell.  With f = lambda - round(lambda),
+    the weight of m = round(lambda) + k relative to that of round(lambda) is
     e^(-k (k - 2f)/(2 tau)): no term grows with |lambda|, and near the ground
     state mu and nu keep their full relative precision.  The closed-form
     window |k| <= ceil(sqrt(2 tau N)) + 1 puts both edges at least
     N = _WINDOW_NATS nats below the peak, since |f| <= 1/2.
 
-    Every tau's window is checked before any sum.  The taus that share a
-    window share the numerators of their log-weights; each tau's row is
-    summed in blocks of a run of lambdas, at most _BLOCK_TERMS terms each.
-    Each (tau, lambda) pair is reduced over its own window along the last
-    axis, so its sums are the same bits whatever other taus share the call.
+    Every tau's window is checked, in order, before any sum.  The cells are
+    grouped by window, and each group is summed in blocks of cells, at most
+    _BLOCK_TERMS terms each.  Each cell is reduced over its own window along
+    the last axis, so its sums are the same bits whatever other cells share
+    the call.
     """
     tau = np.asarray(tau)
     taus = [validate_temperature(t) for t in tau.ravel().tolist()]
@@ -87,37 +86,36 @@ def momentum_moments(lam, tau):
     # A width at or past the cap counts as inf, which it is near the float maximum, where ceil overflows.
     widths = (math.sqrt(2.0 * t * _WINDOW_NATS) for t in taus)
     halves = [math.ceil(width) + 1 if width < _WINDOW_MAX_HALFWIDTH else math.inf for width in widths]
-    rows_of_half: dict[int, list[int]] = {}
-    for j, (t, half) in enumerate(zip(taus, halves)):
+    for t, half in zip(taus, halves):
         if half > _WINDOW_MAX_HALFWIDTH:
             raise ConvergenceError(f"momentum window too wide at tau={t}")
-        rows_of_half.setdefault(half, []).append(j)
-    flat, tau_of_row = lam.ravel(), np.array(taus)
-    center = np.round(flat)
+    cells_of = np.broadcast_arrays(lam, 2.0 * np.array(taus).reshape(tau.shape),
+                                   np.array(halves, dtype=int).reshape(tau.shape))
+    shape, (flat, two_tau, half_of) = cells_of[0].shape, (a.ravel() for a in cells_of)
+    center = np.rint(flat)
     f = flat - center
-    n = flat.size
-    mu, nu, log_z = (np.empty((len(taus), n)) for _ in range(3))
-    for half, rows in rows_of_half.items():
+    mu, nu = np.empty(flat.size), np.empty(flat.size)
+    log_z = -center * (center - 2.0 * flat) / two_tau  # the ground state's term
+    for half in sorted(set(halves)):
+        cells = np.flatnonzero(half_of == half)
         k = np.arange(-half, half + 1, dtype=float)
-        lam_step = max(1, _BLOCK_TERMS // k.size)
-        for i in range(0, n, lam_step):
-            ls = slice(i, i + lam_step)
-            # The numerators of the log-weights, shared by every row.
-            exponent = -k * (k - 2.0 * f[ls, None])
-            ground = -center[ls] * (center[ls] - 2.0 * flat[ls])
-            for j in rows:
-                two_tau = 2.0 * tau_of_row[j]
-                w = np.exp(exponent / two_tau)
-                norm, wk = w.sum(axis=1), w * k
-                mu[j, ls] = mu_j = wk.sum(axis=1) / norm
-                nu[j, ls] = nu_j = (wk * k).sum(axis=1) / norm
-                log_z[j, ls] = ground / two_tau + np.log(norm)
-                if not ((np.abs(mu_j - f[ls]) <= 0.5 + 1e-12) & (nu_j - mu_j * mu_j >= -1e-9)).all():
-                    raise DomainError(f"momentum moments out of range at tau={taus[j]}: "
-                                      "|epsilon| > 1/2 or negative variance")
-    shape = tau.shape + lam.shape
-    terms = np.array([2 * half + 1 for half in halves], dtype=int).reshape(tau.shape)[()]
-    return mu.reshape(shape), nu.reshape(shape), log_z.reshape(shape), terms
+        neg_k, step = -k, max(1, _BLOCK_TERMS // k.size)
+        for i in range(0, cells.size, step):
+            c = cells[i:i + step]
+            # One row per cell: its log-weights -k (k - 2f)/(2 tau), then its weights, in place.
+            w = k - 2.0 * f[c, None]
+            w *= neg_k
+            w /= two_tau[c, None]
+            np.exp(w, out=w)
+            norm, wk = w.sum(axis=1), w * k
+            mu[c] = mu_c = wk.sum(axis=1) / norm
+            nu[c] = nu_c = (wk * k).sum(axis=1) / norm
+            log_z[c] += np.log(norm)
+            good = (np.abs(mu_c - f[c]) <= 0.5 + 1e-12) & (nu_c - mu_c * mu_c >= -1e-9)
+            if not good.all():
+                raise DomainError(f"momentum moments out of range at tau={two_tau[c][~good][0] / 2.0}: "
+                                  "|epsilon| > 1/2 or negative variance")
+    return mu.reshape(shape), nu.reshape(shape), log_z.reshape(shape), (2 * half_of + 1).reshape(shape)[()]
 
 
 def momentum_stats(lam: float, tau: float) -> MomentumStats:
@@ -136,7 +134,7 @@ def momentum_stats(lam: float, tau: float) -> MomentumStats:
 
 
 def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
-    """(Q_c, Q_h, W) of the quantum magnetic machine on the lam_h x tau_h grid.
+    """(Q_c, Q_h, W) of the quantum magnetic machine, elementwise over lam_h and tau_h.
 
     The kernel contract of cycle.py.  Each stroke j enters through its
     moments mu_j, nu_j of k = m - c_j, c_j = round(lambda_j), and
@@ -149,7 +147,7 @@ def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
 
     in which the lambda^2 and f^2 terms have cancelled algebraically, so the
     heats keep full precision at any |lambda| and near the ground state.
-    The hot moments of the whole grid are one momentum_moments call.
+    The hot moments of every cell are one momentum_moments call.
     """
     mu_c, nu_c, _, _ = momentum_moments(lam_c, tau_c)
     mu_h, nu_h, _, _ = momentum_moments(lam_h, tau_h)
@@ -159,7 +157,7 @@ def cycle_heats_magnetic(lam_h, tau_h, lam_c: float, tau_c: float):
         q_c = 0.5 * (nu_c - nu_h) + f_c * (mu_h - mu_c) - shift * (mu_h - f_c + 0.5 * shift)
         q_h = 0.5 * (nu_h - nu_c) + f_h * (mu_c - mu_h) + shift * (mu_c - f_h - 0.5 * shift)
         w = (lam_h - lam_c) * (mu_h - mu_c + shift)
-    w += 0.0  # in place: no grid-sized temporary
+    w += 0.0  # in place: no temporary of the broadcast shape
     return q_c, q_h, w
 
 
@@ -191,7 +189,7 @@ def optimal_work_scan(
     taus = taus[~(taus < tau_c)]
     if taus.size == 0:
         raise DomainError("optimal_work_scan grid contains no tau_h >= tau_c")
-    w = cycle_heats_magnetic(lams, taus, lambda_c, tau_c)[2]
+    w = cycle_heats_magnetic(lams, taus[:, None], lambda_c, tau_c)[2]
     # argmin takes the first minimum in (tau_h, lambda_h) row-major order.
     i_tau, i_lam = np.unravel_index(np.argmin(w), w.shape)
     return CyclePoint(lams[i_lam], lambda_c, taus[i_tau], tau_c), float(w[i_tau, i_lam])

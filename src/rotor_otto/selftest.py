@@ -159,7 +159,7 @@ def check_quadrature_vs_closed_form(rng: np.random.Generator) -> float:
         s_c = _potential_average_quadrature(lam_c / tau_c)
         quadrature = heats(0.5 * tau_h + lam_h * s_h, 0.5 * tau_c + lam_h * s_c,
                            0.5 * tau_h + lam_c * s_h, 0.5 * tau_c + lam_c * s_c)
-        kernel = classical.classical_cycle_electric(np.array([lam_h]), np.array([tau_h]), lam_c, tau_c)
+        kernel = classical.classical_cycle_electric(lam_h, tau_h, lam_c, tau_c)
         err = max(err, *(abs(a.item() - b) for a, b in zip(kernel, quadrature)))
     return err
 

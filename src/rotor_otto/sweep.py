@@ -121,9 +121,9 @@ class SweepGrid:
 
 
 def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c):
-    """(q_c, q_h, w, mode, efficiency, cop), each (n_tau, n_lam): the kernel contract of cycle.py.
+    """(q_c, q_h, w, mode, efficiency, cop) of the broadcast shape of lam_h and tau_h.
 
-    lam_h and tau_h are the grid's axes; the cold stroke is solved once per call.
+    The kernel contract of cycle.py, elementwise; the cold stroke is solved once per call.
     """
     check_tags(machine, model)
     if machine == MACHINE_ELECTRIC and model == MODEL_CLASSICAL:
@@ -134,14 +134,14 @@ def _cycle_arrays(machine, model, lam_h, tau_h, lam_c, tau_c):
         q_c, q_h, w = classical.classical_cycle_magnetic(lam_h, tau_h, lam_c, tau_c)
     else:
         q_c, q_h, w = qmagnetic.cycle_heats_magnetic(lam_h, tau_h, lam_c, tau_c)
-    return (q_c, q_h, w) + classify_modes(q_c, q_h, w, tau_h[:, None], tau_c)
+    return (q_c, q_h, w) + classify_modes(q_c, q_h, w, tau_h, tau_c)
 
 
 def evaluate_point(machine: str, model: str, point: CyclePoint) -> CycleReport:
-    """Single-cycle evaluation: the sweep's kernels on a 1x1 grid."""
+    """Single-cycle evaluation: the sweep's kernels on a one-cell list."""
     entries = _cycle_arrays(machine, model, np.array([point.lambda_h]), np.array([point.tau_h]),
                             point.lambda_c, point.tau_c)
-    return assemble_cycle(machine, model, point, *(a[0, 0] for a in entries))
+    return assemble_cycle(machine, model, point, *(a[0] for a in entries))
 
 
 def run_sweep(spec: SweepSpec) -> SweepGrid:
@@ -152,8 +152,8 @@ def run_sweep(spec: SweepSpec) -> SweepGrid:
     names the stroke that failed (the pendulum its lambda and tau, the
     magnetic momentum window its tau, a row in which every cell fails).
     """
-    grid = SweepGrid(spec, *_cycle_arrays(spec.machine, spec.model, spec.lambda_axis(), spec.tau_axis(),
-                                          spec.lambda_c, spec.tau_c))
+    grid = SweepGrid(spec, *_cycle_arrays(spec.machine, spec.model, spec.lambda_axis(),
+                                          spec.tau_axis()[:, None], spec.lambda_c, spec.tau_c))
     grid.boundary_engine, grid.boundary_fridge = extract_boundaries(grid)
     return grid
 
@@ -162,14 +162,11 @@ def momentum_curve(
     lambda_range: tuple[float, float, int], taus: list[float]
 ) -> list[tuple[float, float, float, float]]:
     """Rows (lambda, tau, <L_z>/hbar, epsilon) of the thermal momentum curve."""
-    lams = grid_axis(lambda_range, "lambda range")
-    centers = np.round(lams)
-    mus = qmagnetic.momentum_moments(lams, taus)[0]
-    rows = []
-    for tau, mu in zip(taus, mus):
-        rows += zip(lams.tolist(), [float(tau)] * len(lams), (centers + mu).tolist(),
-                    (mu - (lams - centers)).tolist())
-    return rows
+    lams, taus = grid_axis(lambda_range, "lambda range"), np.asarray(taus, dtype=float)[:, None]
+    mu = qmagnetic.momentum_moments(lams, taus)[0]
+    lam, tau = np.broadcast_arrays(lams, taus)
+    center = np.round(lam)
+    return list(zip(*(a.ravel().tolist() for a in (lam, tau, center + mu, mu - (lam - center)))))
 
 
 def extract_boundaries(

@@ -27,7 +27,7 @@ def mean_energy(lam_i, lam_j, tau_j):
 
 
 def kernel_heats(p, kernel=classical_cycle_electric):
-    """(Q_c, Q_h, W) of a kernel at the cycle point p, its 1x1 grid."""
+    """(Q_c, Q_h, W) of a kernel at the cycle point p, a one-cell list."""
     return tuple(a.item() for a in kernel(np.array([p.lambda_h]), np.array([p.tau_h]), p.lambda_c, p.tau_c))
 
 

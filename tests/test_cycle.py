@@ -3,10 +3,12 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotor_otto.classical import classical_cycle_electric, classical_cycle_magnetic
 from rotor_otto.cycle import (
     MODE_ENGINE,
     MODE_HEATER,
@@ -15,7 +17,8 @@ from rotor_otto.cycle import (
     assemble_cycle,
     classify_modes,
 )
-from rotor_otto.qelectric import pendulum_stroke_averages
+from rotor_otto.qelectric import cycle_heats_electric, pendulum_stroke_averages
+from rotor_otto.qmagnetic import cycle_heats_magnetic
 from rotor_otto.selftest import classical_electric_mean_energy_quadrature, heats
 from rotor_otto.specfun import bessel_ratio_i1_i0
 from rotor_otto.sweep import evaluate_point
@@ -61,8 +64,6 @@ def test_carnot_bound():
 
 
 def test_engine_efficiency_below_carnot_on_random_points():
-    import numpy as np
-
     rng = np.random.default_rng(29)
     engines = 0
     while engines < 50:
@@ -226,3 +227,37 @@ def test_electric_work_from_the_potential_averages(case):
     s_h, s_c = (_potential_average(model, lam, tau) for lam, tau in ((p.lambda_h, p.tau_h), (p.lambda_c, p.tau_c)))
     d = p.lambda_h - p.lambda_c
     assert abs(r.w - -d * (s_h - s_c)) <= 4.0 * sys.float_info.epsilon * abs(d)
+
+
+KERNELS = {
+    ("electric", "classical"): classical_cycle_electric,
+    ("electric", "quantum"): cycle_heats_electric,
+    ("magnetic", "classical"): classical_cycle_magnetic,
+    ("magnetic", "quantum"): cycle_heats_magnetic,
+}
+
+
+@pytest.mark.parametrize(
+    "machine, model, lambda_c, tau_c, lam, tau",
+    [
+        ("electric", "classical", 1.0, 1.0, (1.0, 8.0, 7), (1.0, 6.0, 5)),
+        ("electric", "quantum", 1.0, 0.05, (1.0, 8.0, 4), (1.0, 6.0, 3)),
+        ("magnetic", "classical", 0.4, 0.5, (-2.0, 2.0, 7), (1.0, 6.0, 5)),
+        # Two momentum window widths, each with more cells than one block holds.
+        ("magnetic", "quantum", 0.485, 0.001, (0.0, 0.5, 40), (0.5, 1.5, 30)),
+    ],
+)
+def test_shuffled_cells_equal_the_grid_bit_for_bit(machine, model, lambda_c, tau_c, lam, tau):
+    # The kernel contract of cycle.py is elementwise: a grid is one layout of
+    # its cells, and a shuffled list of them, or one 0-d cell, gives the same bits.
+    kernel = KERNELS[machine, model]
+    lams, taus = np.linspace(*lam), np.linspace(*tau)
+    grid = kernel(lams, taus[:, None], lambda_c, tau_c)
+    order = np.random.default_rng(3).permutation(lams.size * taus.size)
+    j, i = np.divmod(order, lams.size)
+    cells = kernel(lams[i], taus[j], lambda_c, tau_c)
+    one = kernel(np.array(lams[i[0]]), np.array(taus[j[0]]), lambda_c, tau_c)
+    for g, c, s in zip(grid, cells, one):
+        assert g.shape == (taus.size, lams.size) and c.shape == order.shape and np.shape(s) == ()
+        assert np.array_equal(g.ravel()[order].view(np.int64), c.view(np.int64))
+        assert np.array_equal(np.asarray(s).view(np.int64), c[0].view(np.int64))

@@ -109,15 +109,30 @@ class TestLapackLoader:
             "    for block in qelectric._parity_blocks(lam, cutoff):\n"
             "        spectrum = qelectric.eigensolve_sym_tridiagonal(*block, cutoff)\n"
             "        solved.append((block, spectrum.eigenvalues, spectrum.eigenvectors))\n"
-            "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
+            "print('scipy.linalg' in sys.modules)\n"
             "import scipy.linalg.lapack\n"
             "print(scipy.linalg.lapack.dstevd is qelectric._flapack().dstevd,\n"
-            "      sys.modules['scipy.linalg._flapack'] is qelectric._flapack())\n"
+            "      sys.modules['scipy.linalg._flapack'].dstevd is qelectric._flapack().dstevd)\n"
             "for block, vals, vecs in solved:\n"
             "    ref_vals, ref_vecs, info = scipy.linalg.lapack.dstevd(*block)\n"
             "    print(info == 0 and np.array_equal(vals.view(np.int64), ref_vals.view(np.int64))\n"
             "          and np.array_equal(vecs.view(np.int64), ref_vecs.view(np.int64)))\n"
-        ) == ["False", "True", "True", "True"] + ["True"] * 8
+        ) == ["False", "True", "True"] + ["True"] * 8
+
+    def test_scipy_linalg_binds_its_flapack_after_a_solve(self):
+        # The loaded extension is not left in sys.modules, where a later
+        # `import scipy.linalg` would reuse it without binding the attribute.
+        assert fresh_interpreter(
+            "import sys\n"
+            "import numpy as np\n"
+            "from rotor_otto import qelectric\n"
+            "qelectric.pendulum_stroke_averages(1.0, 1.0)\n"
+            "print('scipy.linalg._flapack' in sys.modules)\n"
+            "import scipy.linalg\n"
+            "print(scipy.linalg._flapack.dstevd is scipy.linalg.lapack.dstevd is qelectric._flapack().dstevd)\n"
+            "vals = scipy.linalg.eigh_tridiagonal(np.array([1.0, 2.0]), np.array([0.5]), eigvals_only=True)\n"
+            "print(np.allclose(vals, 1.5 + np.array([-0.5, 0.5]) * np.sqrt(2.0)))\n"
+        ) == ["False", "True", "True"]
 
     def test_reuses_the_module_of_an_imported_scipy_linalg(self, tmp_path):
         # With scipy.__file__ pointing at an empty directory, only the module

@@ -105,24 +105,23 @@ class TestMomentumStats:
 
 class TestMomentumMoments:
     # tau_h in [0.5, 1.5] with 12 rows puts 3 rows in each of two window
-    # widths; 1001 lambdas split a width's pairs across blocks mid-row.
+    # widths; 1001 lambdas split a width's cells across blocks mid-row.
     @pytest.mark.parametrize("lam_count", [6, 1001])
     def test_tau_array_equals_per_tau_calls_bit_for_bit(self, lam_count):
         lams, taus = np.linspace(-1.0, 2.5, lam_count), np.linspace(0.5, 1.5, 12)
-        grouped = momentum_moments(lams, taus)
-        widths = collections.Counter(grouped[3].tolist())
+        grid = momentum_moments(lams[None, :], taus[:, None])
+        widths = collections.Counter(grid[3][:, 0].tolist())
         assert sum(rows >= 3 for rows in widths.values()) >= 2
-        for j, tau in enumerate(taus):
-            mu, nu, log_z, terms = momentum_moments(lams, tau)
-            for a, b in zip(grouped[:3], (mu, nu, log_z)):
-                assert np.array_equal(a[j], b)
-            assert terms == grouped[3][j]
+        cells = np.array([[float(v) for v in momentum_moments(lam, tau)] for tau in taus for lam in lams])
+        for a, b in zip(grid, cells.T):  # bit for bit, the sign of a zero too
+            assert np.array_equal(a.ravel().astype(float).view(np.int64), b.view(np.int64))
 
     def test_shapes(self):
         lams = np.zeros((2, 3))
-        assert [np.shape(v) for v in momentum_moments(lams, 0.5)] == [(2, 3)] * 3 + [()]
-        assert [np.shape(v) for v in momentum_moments(lams, [0.5] * 4)] == [(4, 2, 3)] * 3 + [(4,)]
-        assert [np.shape(v) for v in momentum_moments(lams, [])] == [(0, 2, 3)] * 3 + [(0,)]
+        for tau, shape in [(0.5, (2, 3)), ([0.5] * 3, (2, 3)), (np.full((4, 1, 1), 0.5), (4, 2, 3)),
+                           (np.zeros((0, 1, 1)), (0, 2, 3))]:
+            assert [np.shape(v) for v in momentum_moments(lams, tau)] == [shape] * 4
+        assert [np.shape(v) for v in momentum_moments(0.1, 0.5)] == [()] * 4
 
     def test_first_bad_tau_named(self):
         with pytest.raises(DomainError, match=r"got -1\.0$"):
